@@ -154,6 +154,8 @@ def validate_config(raw):
     elif kern["kind"] == "power":
         if "exponent" not in kern:
             errors.append("physics.kernel: power kernel needs exponent")
+        else:  # b = (1 - cos)^(-exponent) is bounded only for exponent <= 0
+            _check_number(cfg, errors, "physics.kernel.exponent", kern["exponent"], hi=0.0)
 
     num = cfg["numerics"]
     _check_number(cfg, errors, "numerics.particles", num.get("particles"), lo=2, integer=True)

@@ -12,6 +12,16 @@ candidate pairs at the majorant rate is
 each candidate accepted with probability |u|/u_max. The anti-drift is
 split around the collision substep (Strang), and its characteristics
 are integrated exactly: velocities scale by exp(dt).
+
+Velocities are stored lazily as v = s * w, a particle array w and one
+scalar s. The anti-drift then costs O(1) per step: it multiplies s (and
+u_max, kept in v units) by exp(dt), and its energy increment is exact,
+weight * S * (s1^2 - s0^2) with S = sum |w|^2 kept as a running sum.
+Collisions act on w directly. The post-collisional map of the
+constant-restitution law is homogeneous of degree 1 in (v, v*), so
+colliding w and scaling by s gives the same velocities as colliding v;
+only the relative speed (acceptance, majorant) is multiplied by s and
+the energy increment by s^2. In the original frame s stays 1.
 """
 
 import math
@@ -21,7 +31,6 @@ import numpy as np
 
 from .kernels import (
     RestitutionLaw,
-    delta_energy,
     make_kernel,
     post_collisional,
     sample_sigma,
@@ -90,12 +99,21 @@ class ParticleEnsemble:
 
     Total mass rho = weight * count is invariant; the majorant u_max
     tracks (an upper estimate of) the largest pairwise relative speed.
+
+    Velocities are held as v = scale * w. Reading `v` folds the pending
+    scale into w in place and returns that same array, so in-place
+    writes through it (`ens.v *= c`, `ens.v[i] = ...`) stick. `sumsq`
+    is the running sum |w|^2 behind the drift's energy ledger; it is
+    dropped on every read of `v` (the caller may write to the array)
+    and recomputed at the next drift.
     """
 
     def __init__(self, velocities, weight, frame, rng, u_max, time=0.0):
-        self.v = np.asarray(velocities, dtype=float)
-        if self.v.ndim != 2 or len(self.v) < 2:
+        self.w = np.asarray(velocities, dtype=float)
+        if self.w.ndim != 2 or len(self.w) < 2:
             raise ValueError("need an (n, dim) velocity array with n >= 2")
+        self.scale = 1.0
+        self.sumsq = None
         self.weight = float(weight)
         self.frame = frame
         self.rng = rng
@@ -108,12 +126,26 @@ class ParticleEnsemble:
         self.drift_denergy = 0.0
 
     @property
+    def v(self):
+        if self.scale != 1.0:
+            self.w *= self.scale
+            self.scale = 1.0
+        self.sumsq = None
+        return self.w
+
+    @v.setter
+    def v(self, velocities):  # also the rebinding step of `ens.v *= c`
+        self.w = np.asarray(velocities, dtype=float)
+        self.scale = 1.0
+        self.sumsq = None
+
+    @property
     def n(self):
-        return len(self.v)
+        return len(self.w)
 
     @property
     def dim(self):
-        return self.v.shape[1]
+        return self.w.shape[1]
 
     @property
     def mass(self):
@@ -129,8 +161,10 @@ class ParticleEnsemble:
 
     def copy(self):
         dup = ParticleEnsemble(
-            self.v.copy(), self.weight, self.frame, self.rng, self.u_max, self.time
+            self.w.copy(), self.weight, self.frame, self.rng, self.u_max, self.time
         )
+        dup.scale = self.scale
+        dup.sumsq = self.sumsq
         dup.collisions = self.collisions
         dup.candidates = self.candidates
         dup.majorant_violations = self.majorant_violations
@@ -174,7 +208,9 @@ def _sample_initial(spec, n, dim, rng):
             raise ValueError(f"could not read initial velocities from {path}: {exc}")
         if v.shape[1] != dim:
             raise ValueError(f"{path}: expected {dim} columns, got {v.shape[1]}")
-        return v[:n] if len(v) >= n else v
+        if len(v) < n:
+            raise ValueError(f"{path}: found {len(v)} rows, {n} requested")
+        return v[:n]
     raise ValueError(f"unknown initial condition kind: {kind!r}")
 
 
@@ -220,7 +256,8 @@ def collide_step(ens, dt, law, kernel):
     count. Accepted pairs are applied in duplicate-free groups so a
     particle hit twice in one step sees its updated velocity. Mass and
     momentum are conserved pairwise; energy increments are tallied from
-    the realized velocity updates.
+    the realized velocity updates. Works on the stored w (v = scale * w)
+    without folding the scale in.
     """
     n = ens.n
     rho = ens.mass
@@ -231,6 +268,7 @@ def collide_step(ens, dt, law, kernel):
     if m_cand == 0:
         return tally
     u_max_used = ens.u_max
+    w, scale = ens.w, ens.scale
 
     i = ens.rng.integers(0, n, size=m_cand)
     j = ens.rng.integers(0, n, size=m_cand)
@@ -239,7 +277,7 @@ def collide_step(ens, dt, law, kernel):
         j[clash] = ens.rng.integers(0, n, size=int(clash.sum()))
         clash = i == j
 
-    ru = np.linalg.norm(ens.v[i] - ens.v[j], axis=1)
+    ru = scale * np.linalg.norm(w[i] - w[j], axis=1)
     over = ru > ens.u_max
     if np.any(over):
         tally.violations = int(over.sum())
@@ -247,32 +285,37 @@ def collide_step(ens, dt, law, kernel):
     accept = ens.rng.random(m_cand) * u_max_used < ru
     pairs = np.stack([i[accept], j[accept]], axis=1)
 
-    w = ens.weight
+    de_factor = ens.weight * scale * scale
+    dsumsq = 0.0
     while len(pairs):
         free = _independent_prefix(pairs)
         batch, pairs = pairs[free], pairs[~free]
         bi, bj = batch[:, 0], batch[:, 1]
-        vi, vj = ens.v[bi], ens.v[bj]
-        u = vi - vj
+        wi, wj = w[bi], w[bj]
+        u = wi - wj
         runow = np.linalg.norm(u, axis=1)
         live = runow > 0.0
         if not np.all(live):
             batch, bi, bj = batch[live], bi[live], bj[live]
-            vi, vj, u, runow = vi[live], vj[live], u[live], runow[live]
+            wi, wj, u, runow = wi[live], wj[live], u[live], runow[live]
         if len(batch) == 0:
             continue
         sigma = sample_sigma(ens.rng, u / runow[:, None], kernel)
-        vp, vsp = post_collisional(vi, vj, sigma, law)
-        de = w * (
-            np.sum(vp * vp, axis=1) + np.sum(vsp * vsp, axis=1)
-            - np.sum(vi * vi, axis=1) - np.sum(vj * vj, axis=1)
+        wp, wsp = post_collisional(wi, wj, sigma, law)
+        dw = (
+            np.sum(wp * wp, axis=1) + np.sum(wsp * wsp, axis=1)
+            - np.sum(wi * wi, axis=1) - np.sum(wj * wj, axis=1)
         )
-        ens.v[bi] = vp
-        ens.v[bj] = vsp
+        w[bi] = wp
+        w[bj] = wsp
+        de = de_factor * dw
+        dsumsq += float(dw.sum())
         tally.denergy += float(de.sum())
         tally.denergy_sq += float(np.sum(de * de))
         tally.accepted += len(batch)
 
+    if ens.sumsq is not None:
+        ens.sumsq += dsumsq
     ens.collisions += tally.accepted
     ens.candidates += tally.candidates
     ens.majorant_violations += tally.violations
@@ -282,16 +325,22 @@ def collide_step(ens, dt, law, kernel):
 
 def drift_rescale_step(ens, dt):
     """Exact anti-drift transport: velocities scale by exp(dt); only
-    meaningful in the rescaled frame."""
+    meaningful in the rescaled frame.
+
+    O(1): multiplies the ensemble's scale and u_max by exp(dt) and
+    returns the exact energy increment weight * S * (s1^2 - s0^2).
+    """
     if ens.frame != FRAME_RESCALED:
         raise RuntimeError("drift step called on an original-frame ensemble")
     if dt == 0.0:
         return 0.0
-    e_before = ens.energy
+    if ens.sumsq is None:
+        ens.sumsq = float(np.vdot(ens.w, ens.w))
     factor = math.exp(dt)
-    ens.v *= factor
+    s0 = ens.scale
+    ens.scale = s0 * factor
     ens.u_max *= factor
-    de = ens.energy - e_before
+    de = ens.weight * ens.sumsq * (ens.scale * ens.scale - s0 * s0)
     ens.drift_denergy += de
     return de
 
@@ -327,14 +376,6 @@ class RunOutput:
     snapshots: list  # (time, velocities copy) pairs
     tallies: dict
     metadata: dict
-
-    def moment_rows(self):
-        rows = []
-        for k in range(len(self.times)):
-            row = [self.times[k], self.mass[k], *self.momentum[k], self.energy[k]]
-            row += [self.speed_moments[p][k] for p in MOMENT_SPEED_POWERS]
-            rows.append(row)
-        return rows
 
 
 def _record(ens, rec):

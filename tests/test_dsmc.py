@@ -59,6 +59,8 @@ class TestInit:
         np.savetxt(path, np.random.default_rng(0).normal(size=(500, 3)), delimiter=",")
         ens = init_ensemble(cfg(particles=500, initial={"kind": "from_file", "path": str(path)}))
         assert ens.n == 500
+        with pytest.raises(ValueError, match=r"vel\.csv: found 500 rows, 1000 requested"):
+            init_ensemble(cfg(particles=1000, initial={"kind": "from_file", "path": str(path)}))
         bad = tmp_path / "bad.csv"
         bad.write_text("not,numbers,at all\n1,2\n")
         with pytest.raises(ValueError):
@@ -133,6 +135,56 @@ class TestDrift:
             drift_rescale_step(ens, 0.1)
 
 
+def _eager_advance(ens, dt, law, kernel):
+    """Reference Strang step that rescales every stored velocity at each
+    half-drift, so collide_step always sees scale 1."""
+    factor = math.exp(0.5 * dt)
+    ens.v *= factor
+    ens.u_max *= factor
+    tally = collide_step(ens, dt, law, kernel)
+    ens.v *= factor
+    ens.u_max *= factor
+    ens.time += dt
+    return tally
+
+
+class TestLazyScale:
+    def test_matches_eager_reference(self):
+        config = cfg(frame=FRAME_RESCALED, particles=4000, seed=13)
+        lazy, eager = init_ensemble(config), init_ensemble(config)
+        law, kern = RestitutionLaw(0.8), isotropic_kernel(3)
+        dt = 20.0 * default_dt(config, lazy)
+        for _ in range(10):
+            a = advance(lazy, dt, law, kern)
+            b = _eager_advance(eager, dt, law, kern)
+            assert a.candidates == b.candidates
+            assert a.accepted == b.accepted
+            assert math.isclose(a.denergy, b.denergy, rel_tol=1e-12)
+        assert lazy.scale != 1.0  # the scale was never folded in
+        assert math.isclose(lazy.u_max, eager.u_max, rel_tol=1e-13)
+        ref = eager.v
+        assert np.max(np.abs(lazy.v - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_copy_keeps_pending_scale(self):
+        ens = init_ensemble(cfg(frame=FRAME_RESCALED))
+        drift_rescale_step(ens, 0.3)
+        dup = ens.copy()
+        assert dup.scale == ens.scale != 1.0
+        assert dup.w is not ens.w
+        v_dup = dup.v.copy()
+        assert np.array_equal(v_dup, ens.v)
+        ens.v[0] += 1.0
+        assert np.array_equal(dup.v, v_dup)
+
+    def test_write_through_v_keeps_ledger(self):
+        ens = init_ensemble(cfg(frame=FRAME_RESCALED))
+        drift_rescale_step(ens, 0.1)
+        ens.v *= 0.5
+        e0 = ens.energy
+        de = drift_rescale_step(ens, 0.1)
+        assert abs(de - (math.exp(0.2) - 1.0) * e0) < 1e-12 * e0
+
+
 class TestAdvance:
     def test_elastic_energy_constant_many_steps(self):
         ens = init_ensemble(cfg(e=1.0, particles=2000))
@@ -171,12 +223,14 @@ class TestAdvance:
 
 class TestRunDriver:
     def test_determinism(self):
-        a, _ = run(cfg(seed=42, particles=3000))
-        b, _ = run(cfg(seed=42, particles=3000))
-        assert np.array_equal(a.energy, b.energy)
-        assert np.array_equal(a.momentum, b.momentum)
-        for p in a.speed_moments:
-            assert np.array_equal(a.speed_moments[p], b.speed_moments[p])
+        for frame in (FRAME_ORIGINAL, FRAME_RESCALED):
+            a, _ = run(cfg(seed=42, particles=3000, frame=frame))
+            b, _ = run(cfg(seed=42, particles=3000, frame=frame))
+            assert np.array_equal(a.energy, b.energy)
+            assert np.array_equal(a.momentum, b.momentum)
+            for p in a.speed_moments:
+                assert np.array_equal(a.speed_moments[p], b.speed_moments[p])
+            assert a.tallies == b.tallies
 
     def test_seed_changes_output(self):
         a, _ = run(cfg(seed=1, particles=3000))
