@@ -1,25 +1,32 @@
 """Command-line interface: granular <subcommand> --config ...
 
-Subcommands: simulate, selfsim (rescaled-frame simulate), qcheck,
-haff, tail, transfer, preset, report. Exit code 0 iff every check in
-the produced report passes.
+Every subcommand is a thin layer over the one pipeline in `reporting`:
+simulate and selfsim (rescaled frame) call `reporting.simulate`, qcheck
+and preset run an experiment and its report, haff and tail apply the
+preset check functions to a raw file, report rebuilds a report from a
+run directory, and transfer maps a moment series between frames.
+
+Exit codes: 0 when every check passes (or nothing is checked), 1 when a
+check fails, 2 when an input is invalid (config, file or fit window).
 """
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from . import io as gio
-from .config import ConfigError, PRESET_NAMES, parse_config, preset, validate_config
-from .dsmc import FRAME_RESCALED, run
-from .observables import haff_fit, histogram_from_speeds, tail_fit
+from .config import PRESET_NAMES, parse_config, validate_config
+from .dsmc import FRAME_RESCALED
 from .rescale import ScalingState, transfer_moment_series
-from .reporting import emit_report, run_preset
+from .reporting import (
+    emit_report,
+    haff_slope_check,
+    run_experiment,
+    run_preset,
+    simulate,
+    tail_order_one_check,
+)
 
 
 def _load_config(args):
@@ -39,125 +46,46 @@ def _out_dir(args, cfg):
     return out
 
 
-def _run_one_replica(payload):
-    cfg_dict, seed, out_dir = payload
-    cfg = validate_config(cfg_dict)
-    cfg["seed"] = seed
-    sim = cfg.sim_config()
-    out, ens = run(sim)
-    os.makedirs(out_dir, exist_ok=True)
-    meta = {"config_hash": cfg.hash, "seed": seed}
-    gio.write_moments_csv(os.path.join(out_dir, "moments.csv"), out, meta)
-    for t_snap, vel in out.snapshots:
-        speeds = np.linalg.norm(vel, axis=1)
-        h = histogram_from_speeds(speeds, ens.weight, sim.dim, n_bins=sim.bins,
-                                  frame=sim.frame, time=t_snap)
-        gio.write_hist_csv(os.path.join(out_dir, f"hist_t{t_snap:g}.csv"), h, meta)
-    gio.write_snapshot_json(os.path.join(out_dir, "snapshot_final.json"), out,
-                            out.times[-1], extra_meta=meta)
-    return os.path.join(out_dir, "moments.csv")
-
-
 def cmd_simulate(args, force_frame=None):
     cfg = _load_config(args)
     if force_frame:
         cfg["frame"] = force_frame
     out_dir = _out_dir(args, cfg)
-    replicas = cfg["numerics"]["replicas"]
-    if replicas == 1:
-        _run_one_replica((dict(cfg), cfg["seed"], out_dir))
-        print(f"wrote {out_dir}/moments.csv")
-        return 0
-    jobs = [
-        (dict(cfg), cfg["seed"] + k, os.path.join(out_dir, f"replica_{k}"))
-        for k in range(replicas)
-    ]
-    workers = min(replicas, int(os.environ.get("GRANULAR_THREADS", "1")))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(_run_one_replica, jobs))
-    else:
-        paths = [_run_one_replica(j) for j in jobs]
-    _merge_replicas(paths, os.path.join(out_dir, "moments.csv"))
-    print(f"wrote {out_dir}/moments.csv (merged over {replicas} replicas)")
+    simulate(cfg, out_dir)
+    print(f"wrote {out_dir}/moments.csv")
     return 0
 
 
-def _merge_replicas(paths, out_path):
-    """Average the moment series of replicas (identical cadence grids);
-    merging is associative and order-independent."""
-    tables = [gio.read_moments_csv(p) for p in sorted(paths)]
-    base = tables[0]
-    cols = base["columns"]
-    data = np.stack(
-        [np.stack([t[c] for c in cols], axis=1) for t in tables], axis=0
-    )
-    merged = data.mean(axis=0)
-    merged[:, 0] = base["t"]  # identical time grids by construction
-    with open(out_path, "w") as fh:
-        meta = dict(base["meta"])
-        meta["kind"] = "moments-merged"
-        meta["replicas"] = len(tables)
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for row in merged:
-            fh.write(",".join(gio.fmt(x) for x in row) + "\n")
+def _print_report(report, out_dir):
+    with open(os.path.join(out_dir, "report.txt")) as fh:
+        print(fh.read())
+    return 0 if report["all_pass"] else 1
 
 
 def cmd_qcheck(args):
     cfg = _load_config(args)
     out_dir = _out_dir(args, cfg)
-    from .reporting import _run_operator_check, emit_report as _emit
+    return _print_report(run_experiment("operator-check", cfg, out_dir), out_dir)
 
-    gio.write_json(os.path.join(out_dir, "config.json"),
-                   {"preset": "operator-check", "config": dict(cfg), "hash": cfg.hash})
-    _run_operator_check(cfg, out_dir)
-    report = _emit(out_dir)
-    print(open(os.path.join(out_dir, "report.txt")).read())
-    return 0 if report["all_pass"] else 1
+
+def _print_check(check, out):
+    payload = {"checks": [check], "all_pass": check["pass"]}
+    if out:
+        gio.write_json(out, payload)
+    print(json.dumps(payload, indent=2))
+    return 0 if check["pass"] else 1
 
 
 def cmd_haff(args):
     mom = gio.read_moments_csv(args.input)
-    times, energy = mom["t"], mom["energy"]
-    if mom["meta"].get("frame") == FRAME_RESCALED:
-        state = ScalingState(1.0, int(mom["meta"]["dim"]))
-        times, energy, _ = transfer_moment_series(times, energy, 2, "g2f", state)
-    fit = haff_fit(times, energy, tuple(args.window))
-    check = {
-        "check": "haff_slope",
-        "pass": abs(fit["slope"] + 2.0) <= args.tolerance,
-        "value": fit["slope"],
-        "tolerance": f"-2.0 +- {args.tolerance}",
-        "ref": "hafflaw",
-        "stderr": fit["stderr"],
-        "window": list(args.window),
-    }
-    payload = {"checks": [check], "all_pass": check["pass"]}
-    if args.out:
-        gio.write_json(args.out, payload)
-    print(json.dumps(payload, indent=2))
-    return 0 if check["pass"] else 1
+    check, _, _ = haff_slope_check(mom, args.window, args.tolerance)
+    return _print_check(check, args.out)
 
 
 def cmd_tail(args):
     hist = gio.read_hist_csv(args.input)
     window = tuple(args.window) if args.window else None
-    fit = tail_fit(hist, window=window)
-    check = {
-        "check": "tail_order_one",
-        "pass": fit.s == 1.0 and fit.a2 > 0,
-        "value": {"selected_s": fit.s, "a1": fit.a1, "a2": fit.a2, "rms": fit.rms},
-        "tolerance": "s=1 residual < s=2 residual",
-        "ref": "BGPtail",
-        "window": list(fit.window),
-        "candidates": {str(s): list(c) for s, c in fit.candidates.items()},
-    }
-    payload = {"checks": [check], "all_pass": check["pass"]}
-    if args.out:
-        gio.write_json(args.out, payload)
-    print(json.dumps(payload, indent=2))
-    return 0 if check["pass"] else 1
+    return _print_check(tail_order_one_check(hist, window), args.out)
 
 
 def cmd_transfer(args):
@@ -175,19 +103,12 @@ def cmd_transfer(args):
 
 
 def cmd_preset(args):
-    report = run_preset(args.name, args.out or args.name, seed=args.seed)
-    print(open(os.path.join(args.out or args.name, "report.txt")).read())
-    return 0 if report["all_pass"] else 1
+    out_dir = args.out or args.name
+    return _print_report(run_preset(args.name, out_dir, seed=args.seed), out_dir)
 
 
 def cmd_report(args):
-    try:
-        report = emit_report(args.dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(open(os.path.join(args.dir, "report.txt")).read())
-    return 0 if report["all_pass"] else 1
+    return _print_report(emit_report(args.dir), args.dir)
 
 
 def build_parser():
@@ -241,7 +162,7 @@ def build_parser():
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_preset)
 
-    sp = sub.add_parser("report", help="rebuild report + plots from raw outputs")
+    sp = sub.add_parser("report", help="rebuild the report from raw outputs")
     sp.add_argument("--dir", required=True)
     sp.set_defaults(fn=cmd_report)
     return p
@@ -251,7 +172,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

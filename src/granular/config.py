@@ -27,14 +27,13 @@ DEFAULTS = {
         "dt": None,
         "t_final": 1.0,
         "bins": 64,
-        "replicas": 1,
         "grid_points": 65,
         "grid_extent": 6.0,
         "quadrature": {"radial_order": 64, "angular_order": 32, "hyperplane_order": 64},
     },
     "initial": {"kind": "gaussian", "temperature": 1.0},
     "frame": "original",
-    "output": {"directory": "out", "cadence": 0.05, "formats": ["csv", "json"], "snapshot_times": []},
+    "output": {"directory": "out", "cadence": 0.05, "snapshot_times": []},
     "seed": 0,
 }
 
@@ -75,7 +74,6 @@ class ExperimentConfig(dict):
             rho=phys["rho"],
             snapshot_times=tuple(out["snapshot_times"]),
             bins=num["bins"],
-            replicas=num["replicas"],
         )
 
     def quad_spec(self):
@@ -162,7 +160,6 @@ def validate_config(raw):
     _check_number(cfg, errors, "numerics.dt", num.get("dt"), lo=1e-300, optional=True)
     _check_number(cfg, errors, "numerics.t_final", num.get("t_final"), lo=1e-300)
     _check_number(cfg, errors, "numerics.bins", num.get("bins"), lo=8, integer=True)
-    _check_number(cfg, errors, "numerics.replicas", num.get("replicas"), lo=1, integer=True)
     _check_number(cfg, errors, "numerics.grid_points", num.get("grid_points"), lo=2, integer=True)
     _check_number(cfg, errors, "numerics.grid_extent", num.get("grid_extent"), lo=1e-300)
     for name in ("radial_order", "angular_order", "hyperplane_order"):
@@ -183,8 +180,6 @@ def validate_config(raw):
     _check_number(cfg, errors, "output.cadence", out.get("cadence"), lo=1e-300)
     if not isinstance(out.get("directory"), str):
         errors.append("output.directory: expected a string")
-    if not isinstance(out.get("formats"), list):
-        errors.append("output.formats: expected a list")
     if not isinstance(out.get("snapshot_times"), list):
         errors.append("output.snapshot_times: expected a list")
     _check_number(cfg, errors, "seed", cfg.get("seed"), lo=0, integer=True)

@@ -71,7 +71,6 @@ class SimConfig:
     bins: int = 64
     u_max_safety: float = 4.0
     refresh_interval: int = 200
-    replicas: int = 1
 
     def validate(self):
         errs = []
@@ -392,7 +391,7 @@ def default_dt(config, ens):
     return 0.01 / (ens.mass * ens.u_max)
 
 
-def run(config, law=None, kernel=None, snapshot_copy=True):
+def run(config, law=None, kernel=None):
     """Deterministic (config, seed) -> observables driver.
 
     Records mass/momentum/energy/|v|^k moments at the configured
@@ -441,7 +440,7 @@ def run(config, law=None, kernel=None, snapshot_copy=True):
                     dt = default_dt(config, ens) / 2.0**halvings
         _record(ens, rec)
         for st in snap_times:
-            if abs(ens.time - st) <= 1e-9 and snapshot_copy:
+            if abs(ens.time - st) <= 1e-9:
                 snapshots.append((ens.time, ens.v.copy()))
                 break
 

@@ -1,6 +1,8 @@
 """CSV/JSON persistence for runs. Every file carries a comment header
 with schema version, config hash and seed so reports can be rebuilt
-from raw outputs alone."""
+from raw outputs alone. Radial histograms have one format, with the
+edges of each shell written out, so uniform and non-uniform binnings
+read back exactly."""
 
 import json
 import os
@@ -15,11 +17,8 @@ __all__ = [
     "read_moments_csv",
     "write_hist_csv",
     "read_hist_csv",
-    "write_histv_csv",
-    "read_histv_csv",
     "write_snapshot_json",
     "write_transfer_csv",
-    "read_transfer_csv",
     "write_json",
     "read_json",
     "fmt",
@@ -82,52 +81,10 @@ def read_moments_csv(path):
 
 
 def write_hist_csv(path, hist, extra_meta=None):
+    """Radial histogram with explicit (possibly non-uniform) shell edges."""
     meta = {
         "schema": 1,
         "kind": "hist",
-        "config_hash": (extra_meta or {}).get("config_hash", "none"),
-        "seed": (extra_meta or {}).get("seed", "none"),
-        "frame": hist.frame,
-        "time": fmt(hist.time),
-        "dim": hist.dim,
-        "r_max": fmt(hist.edges[-1]),
-        "bins": len(hist.density),
-    }
-    with open(path, "w") as fh:
-        fh.write(_header(meta))
-        fh.write("r,g_radial,count\n")
-        for r, d, c in zip(hist.centers, hist.density, hist.counts):
-            fh.write(f"{fmt(r)},{fmt(d)},{int(c)}\n")
-
-
-def read_hist_csv(path):
-    with open(path) as fh:
-        meta = _parse_header(fh.readline())
-        fh.readline()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    dim = int(meta["dim"])
-    n = int(meta["bins"])
-    r_max = float(meta["r_max"])
-    edges = np.linspace(0.0, r_max, n + 1)
-    density = data[:, 1]
-    counts = data[:, 2]
-    vol = (edges[1:] ** dim - edges[:-1] ** dim) * sphere_area(dim) / dim
-    return VelocityHistogram(
-        edges=edges,
-        density=density,
-        counts=counts,
-        mass=float(np.sum(density * vol)),
-        dim=dim,
-        frame=meta.get("frame", "original"),
-        time=float(meta.get("time", 0.0)),
-    )
-
-
-def write_histv_csv(path, hist, extra_meta=None):
-    """Histogram with explicit (possibly non-uniform) shell edges."""
-    meta = {
-        "schema": 1,
-        "kind": "histv",
         "config_hash": (extra_meta or {}).get("config_hash", "none"),
         "seed": (extra_meta or {}).get("seed", "none"),
         "frame": hist.frame,
@@ -141,7 +98,7 @@ def write_histv_csv(path, hist, extra_meta=None):
             fh.write(f"{fmt(lo)},{fmt(hi)},{fmt(d)},{int(c)}\n")
 
 
-def read_histv_csv(path):
+def read_hist_csv(path):
     with open(path) as fh:
         meta = _parse_header(fh.readline())
         fh.readline()
@@ -162,7 +119,7 @@ def read_histv_csv(path):
     )
 
 
-def write_snapshot_json(path, run_out, time, velocities=None, extra_meta=None, dump_velocities=False):
+def write_snapshot_json(path, run_out, time, extra_meta=None):
     payload = {
         "schema": 1,
         "kind": "snapshot",
@@ -171,8 +128,6 @@ def write_snapshot_json(path, run_out, time, velocities=None, extra_meta=None, d
         "metadata": run_out.metadata,
         "tallies": run_out.tallies,
     }
-    if dump_velocities and velocities is not None:
-        payload["velocities"] = np.asarray(velocities).tolist()
     write_json(path, payload)
 
 
@@ -189,19 +144,6 @@ def write_transfer_csv(path, source_times, target_times, values, k, direction, m
         fh.write("source_time,target_time,value\n")
         for s, t, v in zip(source_times, target_times, values):
             fh.write(f"{fmt(s)},{fmt(t)},{fmt(v)}\n")
-
-
-def read_transfer_csv(path):
-    with open(path) as fh:
-        meta = _parse_header(fh.readline())
-        fh.readline()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return {
-        "meta": meta,
-        "source_time": data[:, 0],
-        "target_time": data[:, 1],
-        "value": data[:, 2],
-    }
 
 
 def write_json(path, payload):

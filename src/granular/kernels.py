@@ -60,15 +60,6 @@ class RestitutionLaw:
         if not 0.0 <= self.e <= 1.0:
             raise ValueError(f"restitution out of [0,1]: {self.e}")
 
-    @property
-    def beta(self):
-        """(e+1)/(2e); only defined for e > 0."""
-        return beta_of(self)
-
-    @property
-    def is_elastic(self):
-        return self.e == 1.0
-
 
 def beta_of(law):
     if law.e <= 0.0:

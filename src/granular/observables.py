@@ -8,7 +8,7 @@ appears as density ~ exp(-r^2/2T), not as the speed distribution.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -16,7 +16,6 @@ from scipy.special import gammaln
 from .quadrature import sphere_area
 
 __all__ = [
-    "MomentSeries",
     "VelocityHistogram",
     "TailFit",
     "moments",
@@ -35,36 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_MOMENT_ORDERS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
-
-
-@dataclass
-class MomentSeries:
-    """Time series of mass, momentum, energy and |v|^{2p} moments."""
-
-    times: np.ndarray
-    mass: np.ndarray
-    momentum: np.ndarray
-    energy: np.ndarray
-    m_table: dict  # order p -> array of m_p = sum w |v|^{2p}
-    frame: str = "original"
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    @classmethod
-    def from_run(cls, out):
-        m_table = {1.0: out.energy.copy()}
-        for power, arr in out.speed_moments.items():
-            m_table[power / 2.0] = arr.copy()
-        return cls(
-            times=out.times.copy(),
-            mass=out.mass.copy(),
-            momentum=out.momentum.copy(),
-            energy=out.energy.copy(),
-            m_table=m_table,
-            frame=out.config.frame,
-        )
 
 
 @dataclass

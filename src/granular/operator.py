@@ -18,11 +18,10 @@ simulator; they are not meant as a production PDE solver.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import beta_of
 from .quadrature import gauss_legendre, sphere_area, sphere_surface_nodes
 
 __all__ = [
@@ -133,10 +132,6 @@ class DensityGrid:
         g = cls.from_function(fn, dim, extent, n)
         return cls(dim, extent, g.values * (mass / g.mass))
 
-    def scaled(self, lam):
-        """Grid holding v -> f(lam v) on extent L/lam (same node count)."""
-        return DensityGrid(self.dim, self.extent / lam, self.values)
-
     # -- quadrature ------------------------------------------------------------
 
     @property
@@ -195,7 +190,6 @@ class QuadratureSpec:
     radial_order: int = 64
     angular_order: int = 32
     hyperplane_order: int = 64
-    targets: tuple = ()
 
     def __post_init__(self):
         for name in ("radial_order", "angular_order", "hyperplane_order"):
@@ -207,7 +201,6 @@ class QuadratureSpec:
             max(4, self.radial_order // 2),
             max(4, self.angular_order // 2),
             max(4, self.hyperplane_order // 2),
-            self.targets,
         )
 
 
@@ -234,10 +227,6 @@ class TestFunction:
     @classmethod
     def speed_squared(cls):
         return cls("speed_squared", lambda x: np.sum(x * x, axis=-1))
-
-    @classmethod
-    def custom(cls, fn, tag="custom"):
-        return cls(tag, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Each preset persists raw outputs (CSV/JSON) into its directory; checks
 are then derived from the raw files alone, so `granular report --dir`
-rebuilds the identical report without re-simulating. Plot emission
-writes standalone scripts next to the data instead of rendering
-in-process.
+rebuilds the identical report without re-simulating. This module is
+the one run path: the command-line interface calls its runners and
+check functions and rebuilds none of them.
 """
 
 import math
@@ -15,11 +15,10 @@ import time
 import numpy as np
 
 from . import io as gio
-from .config import config_hash, preset as make_preset
+from .config import ConfigError, preset as make_preset, validate_config
 from .dsmc import FRAME_RESCALED, SimConfig, run
 from .kernels import RestitutionLaw, isotropic_kernel, make_kernel, tau_of
 from .observables import (
-    MomentSeries,
     energy_bounds_check,
     equal_volume_edges,
     haff_fit,
@@ -47,7 +46,16 @@ from .operator import (
 )
 from .rescale import ScalingState, transfer_moment_series
 
-__all__ = ["run_preset", "derive_checks", "emit_report", "write_plot_scripts"]
+__all__ = [
+    "simulate",
+    "preset_config",
+    "run_experiment",
+    "run_preset",
+    "haff_slope_check",
+    "tail_order_one_check",
+    "derive_checks",
+    "emit_report",
+]
 
 
 def _check(name, passed, value, tolerance, ref, detail=""):
@@ -62,21 +70,41 @@ def _check(name, passed, value, tolerance, ref, detail=""):
 
 
 # ---------------------------------------------------------------------------
-# haff-law preset: original-frame cooling run + fits + dissipation rate
+# DSMC runs: the one writer of moments, histograms and final tallies
 # ---------------------------------------------------------------------------
 
-def _run_haff_law(cfg, out_dir):
+def simulate(cfg, out_dir):
+    """Run the DSMC simulation of a validated config and write its raw
+    files into out_dir: moments.csv, one hist_t<t>.csv per snapshot
+    (t_final included) and snapshot_final.json. Every histogram uses
+    the r_max of the first snapshot, so all of them share one binning."""
     sim = cfg.sim_config()
     meta = {"config_hash": cfg.hash, "seed": sim.seed}
     out, ens = run(sim)
     gio.write_moments_csv(os.path.join(out_dir, "moments.csv"), out, meta)
-    gio.write_snapshot_json(
-        os.path.join(out_dir, "snapshot_final.json"), out, out.times[-1], extra_meta=meta
-    )
+    r_max = None
+    for t_snap, vel in out.snapshots:
+        speeds = np.linalg.norm(vel, axis=1)
+        if r_max is None:
+            r_max = 1.02 * float(speeds.max())
+        h = histogram_from_speeds(speeds, ens.weight, sim.dim, n_bins=sim.bins,
+                                  r_max=r_max, frame=sim.frame, time=t_snap)
+        gio.write_hist_csv(os.path.join(out_dir, f"hist_t{t_snap:g}.csv"), h, meta)
+    gio.write_snapshot_json(os.path.join(out_dir, "snapshot_final.json"), out,
+                            out.times[-1], extra_meta=meta)
+
+
+# ---------------------------------------------------------------------------
+# haff-law preset: original-frame cooling run + fits + dissipation rate
+# ---------------------------------------------------------------------------
+
+def _run_haff_law(cfg, out_dir):
+    simulate(cfg, out_dir)
 
     # short companion run for the dissipation-identity check: measured
     # dE/dt over the first 50 steps against the quadrature of D on the
     # initial histogram
+    sim = cfg.sim_config()
     law = RestitutionLaw(sim.e)
     kernel = make_kernel(sim.kernel, sim.dim)
     diss = dissipation_rate_check(sim, law, kernel, n_steps=50)
@@ -90,7 +118,7 @@ def dissipation_rate_check(sim, law, kernel, n_steps=50, bins=64):
     tally standard error comes from the per-pair increment variance,
     the histogram-side error from the U-statistic asymptotics.
     """
-    from .dsmc import advance, collide_step, default_dt, init_ensemble
+    from .dsmc import collide_step, default_dt, init_ensemble
 
     ens = init_ensemble(sim)
     dt = sim.dt if sim.dt is not None else default_dt(sim, ens)
@@ -135,27 +163,35 @@ def dissipation_rate_check(sim, law, kernel, n_steps=50, bins=64):
     }
 
 
+def haff_slope_check(mom, window=(10.0, 100.0), tolerance=0.15):
+    """The haff_slope check on a table from io.read_moments_csv: the
+    slope of log E against log(1+t) on the window is -2 within the
+    tolerance. A rescaled-frame series is first mapped back to the
+    original frame (c* = 1). Returns the check and the original-frame
+    (t, E) series it was fitted on."""
+    times, energy = mom["t"], mom["energy"]
+    if mom["meta"].get("frame") == FRAME_RESCALED:
+        state = ScalingState(1.0, int(mom["meta"]["dim"]))
+        times, energy, _ = transfer_moment_series(times, energy, 2, "g2f", state)
+    fit = haff_fit(times, energy, tuple(window))
+    check = _check(
+        "haff_slope", abs(fit["slope"] + 2.0) <= tolerance, fit["slope"], f"-2.0 +- {tolerance}",
+        "hafflaw", f"stderr={fit['stderr']:.3g} n={fit['n']}",
+    )
+    return check, times, energy
+
+
 def _derive_haff_law(cfg, out_dir):
-    checks = []
     mom = gio.read_moments_csv(os.path.join(out_dir, "moments.csv"))
     times, energy = mom["t"], mom["energy"]
-    frame = mom["meta"]["frame"]
     state = ScalingState(1.0, int(mom["meta"]["dim"]))
-    if frame == FRAME_RESCALED:
-        t_f, e_f, _ = transfer_moment_series(times, energy, 2, "g2f", state)
-    else:
-        t_f, e_f = times, energy
+    slope, t_f, e_f = haff_slope_check(mom)
+    checks = [slope]
     gio.write_transfer_csv(
         os.path.join(out_dir, "energy_original_frame.csv"),
-        times, t_f, e_f, 2, "g2f" if frame == FRAME_RESCALED else "identity",
+        times, t_f, e_f, 2, "g2f" if mom["meta"]["frame"] == FRAME_RESCALED else "identity",
         {"config_hash": mom["meta"].get("config_hash", "none")},
     )
-
-    fit = haff_fit(t_f, e_f, (10.0, 100.0))
-    checks.append(_check(
-        "haff_slope", abs(fit["slope"] + 2.0) <= 0.15, fit["slope"], "-2.0 +- 0.15",
-        "hafflaw", f"stderr={fit['stderr']:.3g} n={fit['n']}",
-    ))
 
     mask = (t_f >= 10.0) & (t_f <= 100.0)
     comp = e_f[mask] * (1.0 + t_f[mask]) ** 2
@@ -198,21 +234,18 @@ def _derive_haff_law(cfg, out_dir):
 # self-similar preset: rescaled long run, stationarity, tails, moments
 # ---------------------------------------------------------------------------
 
-def _run_self_similar(cfg, out_dir):
-    sim = cfg.sim_config()
-    meta = {"config_hash": cfg.hash, "seed": sim.seed}
-    out, ens = run(sim)
-    gio.write_moments_csv(os.path.join(out_dir, "moments.csv"), out, meta)
-    r_max = None
-    for t_snap, vel in out.snapshots:
-        speeds = np.linalg.norm(vel, axis=1)
-        if r_max is None:
-            r_max = 1.02 * float(speeds.max())
-        h = histogram_from_speeds(speeds, ens.weight, sim.dim, n_bins=sim.bins,
-                                  r_max=r_max, frame=sim.frame, time=t_snap)
-        gio.write_hist_csv(os.path.join(out_dir, f"hist_t{t_snap:g}.csv"), h, meta)
-    gio.write_snapshot_json(os.path.join(out_dir, "snapshot_final.json"), out,
-                            out.times[-1], extra_meta=meta)
+def tail_order_one_check(hist, window=None):
+    """The tail_order_one check on a radial histogram: on the tail
+    window (default [3 sigma, 6 sigma]) log density is fitted better by
+    -a2 r than by -a2 r^2, with a2 > 0."""
+    fit = tail_fit(hist, window=window)
+    cand = {s: c[2] for s, c in fit.candidates.items()}
+    return _check(
+        "tail_order_one", fit.s == 1.0 and fit.a2 > 0,
+        {"selected_s": fit.s, "a1": fit.a1, "a2": fit.a2, "rms": fit.rms},
+        "s=1 residual < s=2 residual", "BGPtail",
+        f"window={fit.window} rms_by_s={cand} (a1, a2 reported, not asserted)",
+    )
 
 
 def _derive_self_similar(cfg, out_dir):
@@ -233,14 +266,7 @@ def _derive_self_similar(cfg, out_dir):
         ))
 
     last = hists[-1]
-    fit = tail_fit(last)
-    cand = {s: c[2] for s, c in fit.candidates.items()}
-    checks.append(_check(
-        "tail_order_one", fit.s == 1.0 and fit.a2 > 0,
-        {"selected_s": fit.s, "a1": fit.a1, "a2": fit.a2, "rms": fit.rms},
-        "s=1 residual < s=2 residual", "BGPtail",
-        f"window={fit.window} rms_by_s={cand} (a1, a2 reported, not asserted)",
-    ))
+    checks.append(tail_order_one_check(last))
 
     # normalized-moment geometric bound after the transient: the time
     # series covers orders {1, 3/2, 2, 3, 4}; the converged snapshot
@@ -561,7 +587,7 @@ def _run_stability(cfg, out_dir):
         speeds = np.linalg.norm(vel, axis=1)
         h = histogram_from_speeds(speeds, ens.weight, sim.dim, edges=edges,
                                   frame=FRAME_RESCALED, time=t_snap)
-        gio.write_histv_csv(os.path.join(out_dir, f"hist_pos_t{t_snap:g}.csv"), h, meta)
+        gio.write_hist_csv(os.path.join(out_dir, f"hist_pos_t{t_snap:g}.csv"), h, meta)
 
 
 def _derive_stability(cfg, out_dir):
@@ -589,7 +615,7 @@ def _derive_stability(cfg, out_dir):
     hists = []
     for f in sorted(os.listdir(out_dir)):
         if f.startswith("hist_pos_t"):
-            hists.append(gio.read_histv_csv(os.path.join(out_dir, f)))
+            hists.append(gio.read_hist_csv(os.path.join(out_dir, f)))
     hists.sort(key=lambda h: h.time)
     rep = positivity_check(hists, radius=2.0, t_star=1.0)
     checks.append(_check(
@@ -606,25 +632,34 @@ def _derive_stability(cfg, out_dir):
 
 _RUNNERS = {
     "haff-law": (_run_haff_law, _derive_haff_law),
-    "self-similar": (_run_self_similar, _derive_self_similar),
+    "self-similar": (simulate, _derive_self_similar),
     "operator-check": (_run_operator_check, _derive_operator_check),
     "stability": (_run_stability, _derive_stability),
 }
 
 
-def run_preset(name, out_dir, seed=None, overrides=None):
-    """Execute a preset end to end: simulate, persist raw outputs,
-    derive checks, emit report and plot scripts. Returns the report."""
-    cfg = make_preset(name)
+def preset_config(name, seed=None, overrides=None):
+    """The validated config of a preset with the seed and the overrides
+    (dotted path -> value) applied. Everything is validated together,
+    so a bad override raises ConfigError before a run writes anything."""
+    raw = make_preset(name)
     if seed is not None:
-        cfg["seed"] = int(seed)
-    if overrides:
-        for path, value in overrides.items():
-            node = cfg
-            *heads, leaf = path.split(".")
-            for h in heads:
-                node = node[h]
-            node[leaf] = value
+        raw["seed"] = int(seed)
+    for path, value in (overrides or {}).items():
+        node = raw
+        *heads, leaf = path.split(".")
+        for h in heads:
+            node = node.setdefault(h, {})
+            if not isinstance(node, dict):
+                raise ConfigError([f"override {path}: {h} is not an object"])
+        node[leaf] = value
+    return validate_config(raw)
+
+
+def run_experiment(name, cfg, out_dir):
+    """Run preset `name` with a validated config: write config.json,
+    run the preset's runner, derive its checks and emit the report.
+    Returns the report."""
     os.makedirs(out_dir, exist_ok=True)
     gio.write_json(os.path.join(out_dir, "config.json"),
                    {"preset": name, "config": dict(cfg), "hash": cfg.hash})
@@ -635,10 +670,14 @@ def run_preset(name, out_dir, seed=None, overrides=None):
     return emit_report(out_dir, wall_clock=elapsed)
 
 
+def run_preset(name, out_dir, seed=None, overrides=None):
+    """Execute a preset end to end: simulate, persist raw outputs,
+    derive checks and emit the report. Returns the report."""
+    return run_experiment(name, preset_config(name, seed, overrides), out_dir)
+
+
 def derive_checks(out_dir):
     rec = gio.read_json(os.path.join(out_dir, "config.json"))
-    from .config import validate_config
-
     cfg = validate_config(rec["config"])
     name = rec["preset"]
     _, derive = _RUNNERS[name]
@@ -646,9 +685,9 @@ def derive_checks(out_dir):
 
 
 def emit_report(out_dir, wall_clock=None):
-    """Build report.json / report.txt and plot scripts from the raw
-    outputs present in out_dir; raises with the list of missing files
-    if the directory does not hold a preset run."""
+    """Build report.json and report.txt from the raw outputs in
+    out_dir. Raises FileNotFoundError if out_dir has no config.json;
+    a missing raw file surfaces when its check reads it."""
     cfg_path = os.path.join(out_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise FileNotFoundError(
@@ -681,85 +720,4 @@ def emit_report(out_dir, wall_clock=None):
     lines.append("ALL PASS" if report["all_pass"] else "FAILURES PRESENT")
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_plot_scripts(name, out_dir)
     return report
-
-
-# ---------------------------------------------------------------------------
-# plot script emission (no in-process rendering)
-# ---------------------------------------------------------------------------
-
-_ENERGY_PLOT = '''\
-#!/usr/bin/env python3
-"""Log-log cooling plot from energy_original_frame.csv (t, E)."""
-import csv, math
-import numpy as np
-import matplotlib.pyplot as plt
-
-t, E = [], []
-with open("energy_original_frame.csv") as fh:
-    rows = [r for r in fh if not r.startswith("#")]
-for row in csv.DictReader(rows):
-    t.append(float(row["target_time"])); E.append(float(row["value"]))
-t, E = np.array(t), np.array(E)
-mask = (t >= 10) & (t <= 100) & (E > 0)
-x, y = np.log1p(t[mask]), np.log(E[mask])
-slope, intercept = np.polyfit(x, y, 1)
-plt.figure(figsize=(5, 4))
-plt.loglog(1 + t, E, lw=1.2, label="E(t)")
-plt.loglog(1 + t[mask], np.exp(intercept) * (1 + t[mask]) ** slope, "--",
-           label=f"fit slope {slope:.3f}")
-plt.loglog(1 + t, E[0] * (1 + t) ** -2.0, ":", label="slope -2")
-plt.xlabel("1 + t"); plt.ylabel("kinetic energy"); plt.legend()
-plt.tight_layout(); plt.savefig("energy_loglog.png", dpi=150)
-print(f"fitted slope: {slope:.4f}")
-'''
-
-_TAIL_PLOT = '''\
-#!/usr/bin/env python3
-"""Tail diagnostics from the latest radial histogram: log density
-against r (order-1 exponential) and against r^2 (Gaussian)."""
-import glob, numpy as np
-import matplotlib.pyplot as plt
-
-path = sorted(glob.glob("hist_t*.csv"))[-1]
-data = np.loadtxt(path, delimiter=",", skiprows=2)
-r, dens = data[:, 0], data[:, 1]
-keep = dens > 0
-fig, axes = plt.subplots(1, 2, figsize=(9, 4))
-axes[0].semilogy(r[keep], dens[keep], ".-"); axes[0].set_xlabel("r")
-axes[0].set_ylabel("radial density"); axes[0].set_title("log density vs r")
-axes[1].semilogy(r[keep] ** 2, dens[keep], ".-"); axes[1].set_xlabel("r^2")
-axes[1].set_title("log density vs r^2")
-fig.tight_layout(); fig.savefig("tail_profile.png", dpi=150)
-print(f"plotted {path}")
-'''
-
-_STABILITY_PLOT = '''\
-#!/usr/bin/env python3
-"""Perturbation growth: weighted L1 distance against rescaled time."""
-import numpy as np
-import matplotlib.pyplot as plt
-
-data = np.loadtxt("stability.csv", delimiter=",", skiprows=2)
-t, d = data[:, 0], data[:, 1]
-plt.figure(figsize=(5, 4))
-plt.semilogy(t, d, ".-")
-plt.xlabel("rescaled time"); plt.ylabel("weighted L1 distance")
-plt.tight_layout(); plt.savefig("stability_growth.png", dpi=150)
-'''
-
-_PLOTS = {
-    "haff-law": {"plot_energy.py": _ENERGY_PLOT},
-    "self-similar": {"plot_tail.py": _TAIL_PLOT},
-    "operator-check": {},
-    "stability": {"plot_stability.py": _STABILITY_PLOT},
-}
-
-
-def write_plot_scripts(name, out_dir):
-    for fname, body in _PLOTS.get(name, {}).items():
-        path = os.path.join(out_dir, fname)
-        with open(path, "w") as fh:
-            fh.write(body)
-        os.chmod(path, 0o755)

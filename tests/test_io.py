@@ -1,0 +1,79 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from granular import io as gio
+from granular.dsmc import MOMENT_SPEED_POWERS, RunOutput
+from granular.observables import equal_volume_edges, histogram_from_speeds
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+ROUND_TRIP = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def run_outputs(draw):
+    rows = draw(st.integers(1, 12))
+    dim = draw(st.integers(2, 4))
+    col = arrays(float, rows, elements=finite)
+    return RunOutput(
+        config=None,
+        times=draw(col),
+        mass=draw(col),
+        momentum=draw(arrays(float, (rows, dim), elements=finite)),
+        energy=draw(col),
+        speed_moments={p: draw(col) for p in MOMENT_SPEED_POWERS},
+        snapshots=[],
+        tallies={},
+        metadata={"seed": draw(st.integers(0, 2**31)), "frame": draw(st.sampled_from(["original", "rescaled"])),
+                  "dim": dim, "rho": 1.0, "e": 0.8},
+    )
+
+
+@ROUND_TRIP
+@given(out=run_outputs())
+def test_moments_csv_round_trip(tmp_path_factory, out):
+    path = tmp_path_factory.mktemp("moments") / "moments.csv"
+    gio.write_moments_csv(path, out, {"config_hash": "abc"})
+    back = gio.read_moments_csv(path)
+    assert back["meta"]["config_hash"] == "abc"
+    assert back["meta"]["frame"] == out.metadata["frame"]
+    assert int(back["meta"]["dim"]) == out.metadata["dim"]
+    for name, want in [("t", out.times), ("mass", out.mass), ("energy", out.energy),
+                       ("momentum", out.momentum)]:
+        assert np.array_equal(back[name], want), name
+    for p in MOMENT_SPEED_POWERS:
+        assert np.array_equal(back[f"m{p}"], out.speed_moments[p]), p
+
+
+@st.composite
+def histograms(draw):
+    dim = draw(st.integers(2, 4))
+    speeds = draw(arrays(float, st.integers(1, 300), elements=st.floats(0.0, 40.0)))
+    weight = draw(st.floats(1e-6, 1.0))
+    kw = {"frame": draw(st.sampled_from(["original", "rescaled"])),
+          "time": draw(st.floats(0.0, 1e4))}
+    if draw(st.booleans()):  # uniform bins, as written by simulate
+        kw["n_bins"] = draw(st.integers(8, 80))
+        kw["r_max"] = draw(st.none() | st.floats(0.5, 50.0))
+        if kw["r_max"] is None and speeds.max() == 0.0:
+            kw["r_max"] = 1.0
+    else:  # equal-volume shells, as written by the stability preset
+        kw["edges"] = equal_volume_edges(draw(st.floats(0.5, 50.0)), draw(st.integers(2, 40)), dim)
+    return histogram_from_speeds(speeds, weight, dim, **kw)
+
+
+@ROUND_TRIP
+@given(hist=histograms())
+def test_hist_csv_round_trip(tmp_path_factory, hist):
+    path = tmp_path_factory.mktemp("hist") / "hist.csv"
+    gio.write_hist_csv(path, hist, {"config_hash": "abc", "seed": 3})
+    back = gio.read_hist_csv(path)
+    assert np.array_equal(back.edges, hist.edges)
+    assert np.array_equal(back.density, hist.density)
+    assert np.array_equal(back.counts, hist.counts)
+    assert (back.dim, back.frame, back.time) == (hist.dim, hist.frame, hist.time)
+    # the reader rebuilds the mass as sum(density * shell volume), which
+    # rounds differently from the sum of the binned weights
+    assert back.mass == pytest.approx(hist.mass, rel=1e-12, abs=1e-300)
