@@ -50,41 +50,12 @@ class ConfigError(ValueError):
 
 
 class ExperimentConfig(dict):
-    """Validated config; plain dict plus convenience accessors."""
+    """Validated config: a plain dict plus its content hash. The DSMC
+    engine (`dsmc.init_ensemble`, `dsmc.run`) reads it directly."""
 
     @property
     def hash(self):
         return config_hash(self)
-
-    def sim_config(self):
-        from .dsmc import SimConfig
-
-        num, phys, out = self["numerics"], self["physics"], self["output"]
-        return SimConfig(
-            e=phys["e"],
-            kernel=phys["kernel"],
-            dim=phys["dim"],
-            particles=num["particles"],
-            dt=num["dt"],
-            t_final=num["t_final"],
-            frame=self["frame"],
-            initial=self["initial"],
-            seed=self["seed"],
-            cadence=out["cadence"],
-            rho=phys["rho"],
-            snapshot_times=tuple(out["snapshot_times"]),
-            bins=num["bins"],
-        )
-
-    def quad_spec(self):
-        from .operator import QuadratureSpec
-
-        q = self["numerics"]["quadrature"]
-        return QuadratureSpec(
-            radial_order=q["radial_order"],
-            angular_order=q["angular_order"],
-            hyperplane_order=q["hyperplane_order"],
-        )
 
 
 def _merge(base, override, path, errors):
@@ -104,13 +75,20 @@ def _merge(base, override, path, errors):
     return out
 
 
-def _check_number(cfg, errors, where, value, lo=None, hi=None, integer=False, optional=False):
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_number(errors, where, value, lo=None, hi=None, integer=False, optional=False):
     if value is None:
         if not optional:
             errors.append(f"{where}: missing")
         return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         errors.append(f"{where}: expected a number, got {value!r}")
+        return
+    if not math.isfinite(value):
+        errors.append(f"{where}: must be finite")
         return
     if integer and int(value) != value:
         errors.append(f"{where}: expected an integer, got {value!r}")
@@ -119,8 +97,6 @@ def _check_number(cfg, errors, where, value, lo=None, hi=None, integer=False, op
         errors.append(f"{where}: {value} below minimum {lo}")
     if hi is not None and value > hi:
         errors.append(f"{where}: {value} above maximum {hi}")
-    if not math.isfinite(value):
-        errors.append(f"{where}: must be finite")
 
 
 def validate_config(raw):
@@ -135,11 +111,9 @@ def validate_config(raw):
         errors.append(f"schema_version: expected {SCHEMA_VERSION}, got {cfg['schema_version']!r}")
 
     phys = cfg["physics"]
-    _check_number(cfg, errors, "physics.e", phys.get("e"), lo=0.0, hi=1.0)
-    if isinstance(phys.get("e"), (int, float)) and not 0.0 <= phys["e"] <= 1.0:
-        pass  # range error already recorded
-    _check_number(cfg, errors, "physics.dim", phys.get("dim"), lo=2, integer=True)
-    _check_number(cfg, errors, "physics.rho", phys.get("rho"), lo=1e-300)
+    _check_number(errors, "physics.e", phys.get("e"), lo=0.0, hi=1.0)
+    _check_number(errors, "physics.dim", phys.get("dim"), lo=2, integer=True)
+    _check_number(errors, "physics.rho", phys.get("rho"), lo=1e-300)
     kern = phys.get("kernel")
     if not isinstance(kern, dict) or kern.get("kind") not in _KERNEL_KINDS:
         errors.append(
@@ -153,17 +127,17 @@ def validate_config(raw):
         if "exponent" not in kern:
             errors.append("physics.kernel: power kernel needs exponent")
         else:  # b = (1 - cos)^(-exponent) is bounded only for exponent <= 0
-            _check_number(cfg, errors, "physics.kernel.exponent", kern["exponent"], hi=0.0)
+            _check_number(errors, "physics.kernel.exponent", kern["exponent"], hi=0.0)
 
     num = cfg["numerics"]
-    _check_number(cfg, errors, "numerics.particles", num.get("particles"), lo=2, integer=True)
-    _check_number(cfg, errors, "numerics.dt", num.get("dt"), lo=1e-300, optional=True)
-    _check_number(cfg, errors, "numerics.t_final", num.get("t_final"), lo=1e-300)
-    _check_number(cfg, errors, "numerics.bins", num.get("bins"), lo=8, integer=True)
-    _check_number(cfg, errors, "numerics.grid_points", num.get("grid_points"), lo=2, integer=True)
-    _check_number(cfg, errors, "numerics.grid_extent", num.get("grid_extent"), lo=1e-300)
+    _check_number(errors, "numerics.particles", num.get("particles"), lo=2, integer=True)
+    _check_number(errors, "numerics.dt", num.get("dt"), lo=1e-300, optional=True)
+    _check_number(errors, "numerics.t_final", num.get("t_final"), lo=1e-300)
+    _check_number(errors, "numerics.bins", num.get("bins"), lo=8, integer=True)
+    _check_number(errors, "numerics.grid_points", num.get("grid_points"), lo=2, integer=True)
+    _check_number(errors, "numerics.grid_extent", num.get("grid_extent"), lo=1e-300)
     for name in ("radial_order", "angular_order", "hyperplane_order"):
-        _check_number(cfg, errors, f"numerics.quadrature.{name}",
+        _check_number(errors, f"numerics.quadrature.{name}",
                       num.get("quadrature", {}).get(name), lo=4, integer=True)
 
     init = cfg["initial"]
@@ -172,17 +146,34 @@ def validate_config(raw):
             f"initial.kind: expected one of {_INITIAL_KINDS}, got "
             f"{init.get('kind') if isinstance(init, dict) else init!r}"
         )
+    else:  # the kind's fields, when present
+        for name in ("temperature", "radius", "width"):
+            if name in init:
+                _check_number(errors, f"initial.{name}", init[name], lo=1e-300)
+        center = init.get("center")
+        if init["kind"] == "two_bump" and "center" in init and not (
+                isinstance(center, list) and len(center) == phys["dim"]
+                and all(_is_number(c) and math.isfinite(c) for c in center)):
+            errors.append(f"initial.center: expected a list of {phys['dim']} numbers, "
+                          f"got {center!r}")
+        if init["kind"] == "from_file" and not isinstance(init.get("path"), str):
+            errors.append(f"initial.path: expected a string, got {init.get('path')!r}")
 
     if cfg["frame"] not in ("original", "rescaled"):
         errors.append(f"frame: expected 'original' or 'rescaled', got {cfg['frame']!r}")
 
     out = cfg["output"]
-    _check_number(cfg, errors, "output.cadence", out.get("cadence"), lo=1e-300)
+    _check_number(errors, "output.cadence", out.get("cadence"), lo=1e-300)
     if not isinstance(out.get("directory"), str):
         errors.append("output.directory: expected a string")
-    if not isinstance(out.get("snapshot_times"), list):
+    snaps = out.get("snapshot_times")
+    if not isinstance(snaps, list):
         errors.append("output.snapshot_times: expected a list")
-    _check_number(cfg, errors, "seed", cfg.get("seed"), lo=0, integer=True)
+    else:  # each in (0, t_final]; the run records nothing outside it
+        hi = num["t_final"] if _is_number(num["t_final"]) else None
+        for i, t in enumerate(snaps):
+            _check_number(errors, f"output.snapshot_times[{i}]", t, lo=1e-300, hi=hi)
+    _check_number(errors, "seed", cfg.get("seed"), lo=0, integer=True)
 
     if errors:
         raise ConfigError(errors)

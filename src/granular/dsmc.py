@@ -22,10 +22,14 @@ constant-restitution law is homogeneous of degree 1 in (v, v*), so
 colliding w and scaling by s gives the same velocities as colliding v;
 only the relative speed (acceptance, majorant) is multiplied by s and
 the energy increment by s^2. In the original frame s stays 1.
+
+The engine reads the validated `config.ExperimentConfig` and nothing
+else: `init_ensemble(cfg)` and `run(cfg)` take it as it comes out of
+`validate_config`, which has already checked every input.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,58 +43,21 @@ from .kernels import (
 __all__ = [
     "FRAME_ORIGINAL",
     "FRAME_RESCALED",
-    "SimConfig",
     "ParticleEnsemble",
     "CollisionTally",
     "init_ensemble",
     "collide_step",
     "drift_rescale_step",
     "advance",
+    "step_size",
     "run",
     "RunOutput",
 ]
 
 FRAME_ORIGINAL = "original"
 FRAME_RESCALED = "rescaled"
-
-
-@dataclass
-class SimConfig:
-    e: float = 0.8
-    kernel: dict = field(default_factory=lambda: {"kind": "isotropic"})
-    dim: int = 3
-    particles: int = 10000
-    dt: float | None = None  # None: 0.01 / (rho * u_max) at init
-    t_final: float = 1.0
-    frame: str = FRAME_ORIGINAL
-    initial: dict = field(default_factory=lambda: {"kind": "gaussian", "temperature": 1.0})
-    seed: int = 0
-    cadence: float = 0.05
-    rho: float = 1.0
-    snapshot_times: tuple = ()
-    bins: int = 64
-    u_max_safety: float = 4.0
-    refresh_interval: int = 200
-
-    def validate(self):
-        errs = []
-        if not 0.0 <= self.e <= 1.0:
-            errs.append(f"restitution out of [0,1]: {self.e}")
-        if self.dim < 2:
-            errs.append("dim must be >= 2")
-        if self.particles < 2:
-            errs.append("particles must be >= 2")
-        if self.dt is not None and self.dt <= 0:
-            errs.append("dt must be positive")
-        if self.t_final <= 0:
-            errs.append("t_final must be positive")
-        if self.frame not in (FRAME_ORIGINAL, FRAME_RESCALED):
-            errs.append(f"unknown frame: {self.frame}")
-        if self.rho <= 0:
-            errs.append("rho must be positive")
-        if self.cadence <= 0:
-            errs.append("cadence must be positive")
-        return errs
+U_MAX_SAFETY = 4.0  # initial majorant over the sampled pairwise max speed
+REFRESH_INTERVAL = 200  # steps between majorant refreshes in run()
 
 
 class ParticleEnsemble:
@@ -158,19 +125,6 @@ class ParticleEnsemble:
     def energy(self):
         return self.weight * float(np.sum(self.v * self.v))
 
-    def copy(self):
-        dup = ParticleEnsemble(
-            self.w.copy(), self.weight, self.frame, self.rng, self.u_max, self.time
-        )
-        dup.scale = self.scale
-        dup.sumsq = self.sumsq
-        dup.collisions = self.collisions
-        dup.candidates = self.candidates
-        dup.majorant_violations = self.majorant_violations
-        dup.collision_denergy = self.collision_denergy
-        dup.drift_denergy = self.drift_denergy
-        return dup
-
 
 @dataclass
 class CollisionTally:
@@ -193,8 +147,6 @@ def _sample_initial(spec, n, dim, rng):
         return r * z * rng.random(n)[:, None] ** (1.0 / dim)
     if kind == "two_bump":
         center = np.asarray(spec.get("center", [2.0] + [0.0] * (dim - 1)), dtype=float)
-        if center.shape != (dim,):
-            raise ValueError("two_bump center must have length dim")
         width = float(spec.get("width", 0.3))
         v = rng.normal(scale=width, size=(n, dim))
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
@@ -221,19 +173,17 @@ def _pairwise_max_speed(v, rng, frac=0.01, cap=512):
     return float(d.max())
 
 
-def init_ensemble(config):
-    """Sample the initial condition, center momentum exactly, set the
-    particle weight for total mass rho, and seed the relative-speed
-    majorant from a subsample."""
-    errs = config.validate()
-    if errs:
-        raise ValueError("; ".join(errs))
-    rng = np.random.default_rng(config.seed)
-    v = _sample_initial(config.initial, config.particles, config.dim, rng)
+def init_ensemble(cfg):
+    """Sample the initial condition of a validated config, center
+    momentum exactly, set the particle weight for total mass rho, and
+    seed the relative-speed majorant from a subsample."""
+    phys = cfg["physics"]
+    rng = np.random.default_rng(cfg["seed"])
+    v = _sample_initial(cfg["initial"], cfg["numerics"]["particles"], phys["dim"], rng)
     v = v - v.mean(axis=0, keepdims=True)  # zero momentum exactly
-    weight = config.rho / len(v)
-    u_max = config.u_max_safety * max(_pairwise_max_speed(v, rng), 1e-12)
-    return ParticleEnsemble(v, weight, config.frame, rng, u_max)
+    weight = phys["rho"] / len(v)
+    u_max = U_MAX_SAFETY * max(_pairwise_max_speed(v, rng), 1e-12)
+    return ParticleEnsemble(v, weight, cfg["frame"], rng, u_max)
 
 
 def _independent_prefix(pairs):
@@ -366,7 +316,6 @@ MOMENT_SPEED_POWERS = (3, 4, 6, 8)  # |v|^k columns in the moment series
 
 @dataclass
 class RunOutput:
-    config: SimConfig
     times: np.ndarray
     mass: np.ndarray
     momentum: np.ndarray  # (steps, dim)
@@ -387,33 +336,41 @@ def _record(ens, rec):
         rec[f"m{p}"].append(ens.weight * float(np.sum(speeds**p)))
 
 
-def default_dt(config, ens):
+def default_dt(ens):
     return 0.01 / (ens.mass * ens.u_max)
 
 
-def run(config, law=None, kernel=None):
-    """Deterministic (config, seed) -> observables driver.
+def step_size(cfg, ens):
+    """numerics.dt, or default_dt(ens) when it is null."""
+    dt = cfg["numerics"]["dt"]
+    return default_dt(ens) if dt is None else dt
+
+
+def run(cfg):
+    """Deterministic (validated config, seed) -> observables driver.
 
     Records mass/momentum/energy/|v|^k moments at the configured
     cadence, keeps velocity snapshots at snapshot_times and t_final,
     and refreshes the majorant periodically from a subsample.
     """
-    law = law or RestitutionLaw(config.e)
-    kernel = kernel or make_kernel(config.kernel, config.dim)
-    ens = init_ensemble(config)
-    auto_dt = config.dt is None
-    dt = config.dt if not auto_dt else default_dt(config, ens)
+    phys, num, out = cfg["physics"], cfg["numerics"], cfg["output"]
+    law = RestitutionLaw(phys["e"])
+    kernel = make_kernel(phys["kernel"], phys["dim"])
+    ens = init_ensemble(cfg)
+    auto_dt = num["dt"] is None
+    dt = step_size(cfg, ens)
+    t_final, cadence = num["t_final"], out["cadence"]
 
     rec = {"times": [], "mass": [], "momentum": [], "energy": []}
     for p in MOMENT_SPEED_POWERS:
         rec[f"m{p}"] = []
     _record(ens, rec)
 
-    snap_times = sorted(set(list(config.snapshot_times) + [config.t_final]))
+    snap_times = sorted(set(out["snapshot_times"] + [t_final]))
     snapshots = []
-    out_times = np.arange(1, int(math.ceil(config.t_final / config.cadence - 1e-9)) + 1) * config.cadence
+    out_times = np.arange(1, int(math.ceil(t_final / cadence - 1e-9)) + 1) * cadence
     out_times = np.unique(np.concatenate([out_times, np.asarray(snap_times)]))
-    out_times = out_times[(out_times <= config.t_final + 1e-12) & (out_times > 1e-12)]
+    out_times = out_times[(out_times <= t_final + 1e-12) & (out_times > 1e-12)]
     # collapse float-level duplicates (cadence multiples vs snapshot times)
     keep = np.ones(len(out_times), dtype=bool)
     keep[1:] = np.diff(out_times) > 1e-9
@@ -421,7 +378,7 @@ def run(config, law=None, kernel=None):
 
     halvings = 0
     steps = 0
-    next_refresh = config.refresh_interval
+    next_refresh = REFRESH_INTERVAL
     for t_out in out_times:
         while ens.time < t_out - 1e-12:
             step = min(dt, t_out - ens.time)
@@ -431,13 +388,13 @@ def run(config, law=None, kernel=None):
                 dt *= 0.5
                 halvings += 1
             if steps >= next_refresh:
-                next_refresh += config.refresh_interval
+                next_refresh += REFRESH_INTERVAL
                 est = _pairwise_max_speed(ens.v, ens.rng)
                 ens.u_max = min(ens.u_max, max(2.0 * est, 1e-12))
                 if auto_dt:
                     # keep the per-step collision probability fixed as
                     # the relative-speed scale drifts (cooling/heating)
-                    dt = default_dt(config, ens) / 2.0**halvings
+                    dt = default_dt(ens) / 2.0**halvings
         _record(ens, rec)
         for st in snap_times:
             if abs(ens.time - st) <= 1e-9:
@@ -457,16 +414,15 @@ def run(config, law=None, kernel=None):
         "steps": steps,
     }
     metadata = {
-        "seed": config.seed,
-        "frame": config.frame,
-        "e": config.e,
-        "dim": config.dim,
-        "particles": config.particles,
-        "rho": config.rho,
-        "kernel": config.kernel,
+        "seed": cfg["seed"],
+        "frame": cfg["frame"],
+        "e": phys["e"],
+        "dim": phys["dim"],
+        "particles": num["particles"],
+        "rho": phys["rho"],
+        "kernel": phys["kernel"],
     }
     return RunOutput(
-        config=config,
         times=np.asarray(rec["times"]),
         mass=np.asarray(rec["mass"]),
         momentum=np.asarray(rec["momentum"]),

@@ -10,7 +10,6 @@ import os
 import numpy as np
 
 from .observables import VelocityHistogram
-from .quadrature import sphere_area
 
 __all__ = [
     "write_moments_csv",
@@ -81,7 +80,8 @@ def read_moments_csv(path):
 
 
 def write_hist_csv(path, hist, extra_meta=None):
-    """Radial histogram with explicit (possibly non-uniform) shell edges."""
+    """Radial histogram with explicit (possibly non-uniform) shell edges; the
+    header also carries the binned mass and the count clipped above the last edge."""
     meta = {
         "schema": 1,
         "kind": "hist",
@@ -90,6 +90,8 @@ def write_hist_csv(path, hist, extra_meta=None):
         "frame": hist.frame,
         "time": fmt(hist.time),
         "dim": hist.dim,
+        "mass": fmt(hist.mass),
+        "clipped": hist.clipped,
     }
     with open(path, "w") as fh:
         fh.write(_header(meta))
@@ -103,19 +105,17 @@ def read_hist_csv(path):
         meta = _parse_header(fh.readline())
         fh.readline()
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    dim = int(meta["dim"])
-    edges = np.concatenate([data[:, 0], data[-1:, 1]])
-    density = data[:, 2]
-    counts = data[:, 3]
-    vol = (edges[1:] ** dim - edges[:-1] ** dim) * sphere_area(dim) / dim
+    if "mass" not in meta:
+        raise ValueError(f"{path}: histogram header has no mass= (written by an older version)")
     return VelocityHistogram(
-        edges=edges,
-        density=density,
-        counts=counts,
-        mass=float(np.sum(density * vol)),
-        dim=dim,
+        edges=np.concatenate([data[:, 0], data[-1:, 1]]),
+        density=data[:, 2],
+        counts=data[:, 3],
+        mass=float(meta["mass"]),
+        dim=int(meta["dim"]),
         frame=meta.get("frame", "original"),
         time=float(meta.get("time", 0.0)),
+        clipped=int(meta["clipped"]),
     )
 
 

@@ -38,7 +38,9 @@ DEFAULT_MOMENT_ORDERS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
 
 @dataclass
 class VelocityHistogram:
-    """Radial (shell-averaged) velocity-space density."""
+    """Radial (shell-averaged) velocity-space density. `mass` is the
+    binned mass; `clipped` counts the speeds above the last edge, which
+    no bin holds."""
 
     edges: np.ndarray
     density: np.ndarray
@@ -47,6 +49,7 @@ class VelocityHistogram:
     dim: int
     frame: str
     time: float
+    clipped: int = 0
 
     @property
     def centers(self):
@@ -180,6 +183,7 @@ def histogram_from_speeds(speeds, weights, dim, n_bins=64, r_max=None, frame="or
     return VelocityHistogram(
         edges=edges, density=masses / vol, counts=counts,
         mass=float(masses.sum()), dim=dim, frame=frame, time=time,
+        clipped=int(np.count_nonzero(~inside)),
     )
 
 

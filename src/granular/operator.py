@@ -332,6 +332,21 @@ def _plane_basis(omega):
     raise NotImplementedError("hyperplane quadrature implemented for dim 2 and 3")
 
 
+def _unit_ball_rule(m, quad):
+    """Nodes (K, m) and weights (K,) on the unit ball of R^m, m = 1 or 2:
+    Gauss-Legendre on [-1, 1], or Gauss-Legendre in the radius times a
+    uniform angle on the disk."""
+    if m == 1:
+        s_ref, ws_ref = gauss_legendre(quad.hyperplane_order, -1.0, 1.0)
+        return s_ref[:, None], ws_ref
+    rho_ref, wrho_ref = gauss_legendre(quad.hyperplane_order, 0.0, 1.0)
+    ang = 2.0 * math.pi * np.arange(quad.angular_order) / quad.angular_order
+    w_ang = 2.0 * math.pi / quad.angular_order
+    ca, sa = np.cos(ang), np.sin(ang)
+    disk = np.stack([np.outer(rho_ref, ca).ravel(), np.outer(rho_ref, sa).ravel()], axis=1)
+    return disk, np.outer(rho_ref * wrho_ref, np.full_like(ca, w_ang)).ravel()
+
+
 def q_plus_carleman(g, f, v, law, kernel, quad=None):
     """Gain term at v via the hyperplane (Carleman-type) representation
 
@@ -384,27 +399,13 @@ def q_plus_carleman(g, f, v, law, kernel, quad=None):
     omega = v[None, :] - omega_coef * rr[:, None] * om  # v + coef*(v-'v)
     s_max = math.sqrt(dim) * g.extent + np.linalg.norm(omega, axis=1)
 
-    if dim == 2:
-        (t1,) = _plane_basis(om)
-        s_ref, ws_ref = gauss_legendre(quad.hyperplane_order, -1.0, 1.0)
-        offsets = t1[:, None, :] * (s_max[:, None] * s_ref[None, :])[:, :, None]
-        in_w = s_max[:, None] * ws_ref[None, :]
-    else:
-        t1, t2 = _plane_basis(om)
-        rho_ref, wrho_ref = gauss_legendre(quad.hyperplane_order, 0.0, 1.0)
-        ang = 2.0 * math.pi * np.arange(quad.angular_order) / quad.angular_order
-        w_ang = 2.0 * math.pi / quad.angular_order
-        ca, sa = np.cos(ang), np.sin(ang)
-        disk = np.concatenate(
-            [np.outer(rho_ref, ca).ravel()[:, None], np.outer(rho_ref, sa).ravel()[:, None]],
-            axis=1,
-        )  # (H*A, 2) unit-disk coordinates
-        wdisk = (np.outer(rho_ref * wrho_ref, np.full_like(ca, w_ang))).ravel()
-        offsets = (
-            t1[:, None, :] * (s_max[:, None, None] * disk[None, :, 0:1])
-            + t2[:, None, :] * (s_max[:, None, None] * disk[None, :, 1:2])
-        )
-        in_w = (s_max**2)[:, None] * wdisk[None, :]
+    # in-plane offsets s_max * sum_k node_k t_k over the hyperplane's unit ball
+    nodes, w_ball = _unit_ball_rule(dim - 1, quad)
+    basis = _plane_basis(om)
+    offsets = basis[0][:, None, :] * (s_max[:, None, None] * nodes[None, :, 0:1])
+    for k in range(1, dim - 1):  # in place: one (points, nodes, N) array at a time
+        offsets += basis[k][:, None, :] * (s_max[:, None, None] * nodes[None, :, k:k + 1])
+    in_w = (s_max ** (dim - 1))[:, None] * w_ball[None, :]
 
     total = 0.0
     n_in = offsets.shape[1]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as gio
 from .config import ConfigError, preset as make_preset, validate_config
-from .dsmc import FRAME_RESCALED, SimConfig, run
+from .dsmc import FRAME_RESCALED, run
 from .kernels import RestitutionLaw, isotropic_kernel, make_kernel, tau_of
 from .observables import (
     energy_bounds_check,
@@ -78,17 +78,17 @@ def simulate(cfg, out_dir):
     files into out_dir: moments.csv, one hist_t<t>.csv per snapshot
     (t_final included) and snapshot_final.json. Every histogram uses
     the r_max of the first snapshot, so all of them share one binning."""
-    sim = cfg.sim_config()
-    meta = {"config_hash": cfg.hash, "seed": sim.seed}
-    out, ens = run(sim)
+    dim, bins = cfg["physics"]["dim"], cfg["numerics"]["bins"]
+    meta = {"config_hash": cfg.hash, "seed": cfg["seed"]}
+    out, ens = run(cfg)
     gio.write_moments_csv(os.path.join(out_dir, "moments.csv"), out, meta)
     r_max = None
     for t_snap, vel in out.snapshots:
         speeds = np.linalg.norm(vel, axis=1)
         if r_max is None:
             r_max = 1.02 * float(speeds.max())
-        h = histogram_from_speeds(speeds, ens.weight, sim.dim, n_bins=sim.bins,
-                                  r_max=r_max, frame=sim.frame, time=t_snap)
+        h = histogram_from_speeds(speeds, ens.weight, dim, n_bins=bins,
+                                  r_max=r_max, frame=cfg["frame"], time=t_snap)
         gio.write_hist_csv(os.path.join(out_dir, f"hist_t{t_snap:g}.csv"), h, meta)
     gio.write_snapshot_json(os.path.join(out_dir, "snapshot_final.json"), out,
                             out.times[-1], extra_meta=meta)
@@ -104,24 +104,24 @@ def _run_haff_law(cfg, out_dir):
     # short companion run for the dissipation-identity check: measured
     # dE/dt over the first 50 steps against the quadrature of D on the
     # initial histogram
-    sim = cfg.sim_config()
-    law = RestitutionLaw(sim.e)
-    kernel = make_kernel(sim.kernel, sim.dim)
-    diss = dissipation_rate_check(sim, law, kernel, n_steps=50)
+    phys = cfg["physics"]
+    law = RestitutionLaw(phys["e"])
+    kernel = make_kernel(phys["kernel"], phys["dim"])
+    diss = dissipation_rate_check(cfg, law, kernel, n_steps=50)
     gio.write_json(os.path.join(out_dir, "dissipation.json"), diss)
 
 
-def dissipation_rate_check(sim, law, kernel, n_steps=50, bins=64):
+def dissipation_rate_check(cfg, law, kernel, n_steps=50, bins=64):
     """Collision-tally energy rate over n_steps vs -D on the histogram.
 
     Returns raw numbers; thresholds are applied at report time. The
     tally standard error comes from the per-pair increment variance,
     the histogram-side error from the U-statistic asymptotics.
     """
-    from .dsmc import collide_step, default_dt, init_ensemble
+    from .dsmc import collide_step, init_ensemble, step_size
 
-    ens = init_ensemble(sim)
-    dt = sim.dt if sim.dt is not None else default_dt(sim, ens)
+    ens = init_ensemble(cfg)
+    dt = step_size(cfg, ens)
     speeds0 = np.linalg.norm(ens.v, axis=1)
     h0 = histogram_from_speeds(speeds0, ens.weight, ens.dim, n_bins=bins,
                                frame=ens.frame, time=0.0)
@@ -250,7 +250,7 @@ def tail_order_one_check(hist, window=None):
 
 def _derive_self_similar(cfg, out_dir):
     checks = []
-    sim = cfg.sim_config()
+    phys = cfg["physics"]
     mom = gio.read_moments_csv(os.path.join(out_dir, "moments.csv"))
     snaps = sorted(
         (float(gio.read_hist_csv(os.path.join(out_dir, f)).time), f)
@@ -295,10 +295,10 @@ def _derive_self_similar(cfg, out_dir):
         "MM:superS", f"series orders={sorted(z_series)}, snapshot orders={sorted(z_snap)}",
     ))
 
-    law = RestitutionLaw(sim.e)
-    kernel = make_kernel(sim.kernel, sim.dim)
+    law = RestitutionLaw(phys["e"])
+    kernel = make_kernel(phys["kernel"], phys["dim"])
     tau_d = tau_of(kernel, law)
-    eb = energy_bounds_check(times, mom["energy"], sim.rho, tau_d, t_transient=3.0)
+    eb = energy_bounds_check(times, mom["energy"], phys["rho"], tau_d, t_transient=3.0)
     if eb.get("skipped"):
         checks.append(_check("rescaled_energy_upper", True, "skipped",
                              eb["note"], "BorneY2", "elastic: no bound"))
@@ -338,12 +338,10 @@ def _derive_self_similar(cfg, out_dir):
 # ---------------------------------------------------------------------------
 
 def _run_operator_check(cfg, out_dir):
-    sim = cfg.sim_config()
-    quad = cfg.quad_spec()
+    quad = QuadratureSpec(**cfg["numerics"]["quadrature"])
     npts = cfg["numerics"]["grid_points"]
     extent = cfg["numerics"]["grid_extent"]
-    meta = {"config_hash": cfg.hash, "seed": sim.seed}
-    rng = np.random.default_rng(sim.seed)
+    rng = np.random.default_rng(cfg["seed"])
 
     dim = 2  # expensive cross-checks run in dimension 2 by design
     f = DensityGrid.gaussian(dim, extent, npts, mass=1.0, temperature=1.0)
@@ -369,7 +367,7 @@ def _run_operator_check(cfg, out_dir):
         summary["equivalence"][str(e)] = {"max_rel": max(rels), "mean_rel": float(np.mean(rels))}
 
     with open(os.path.join(out_dir, "qcheck.csv"), "w") as fh:
-        fh.write(f"# schema=1 kind=qcheck config_hash={cfg.hash} seed={sim.seed} dim={dim}\n")
+        fh.write(f"# schema=1 kind=qcheck config_hash={cfg.hash} seed={cfg['seed']} dim={dim}\n")
         fh.write("e,v_index," + ",".join(f"v{ax}" for ax in "xy")
                  + ",q_plus_direct,q_plus_carleman,rel_err,q_minus,error_estimate\n")
         for row in rows:
@@ -538,54 +536,54 @@ def _weighted_l1_delta_scale(dim=3):
 
 
 def _run_stability(cfg, out_dir):
-    sim = cfg.sim_config()
-    meta = {"config_hash": cfg.hash, "seed": sim.seed}
-    delta = 0.01 / _weighted_l1_delta_scale(sim.dim)
+    phys, num, out = cfg["physics"], cfg["numerics"], cfg["output"]
+    dim = phys["dim"]
+    meta = {"config_hash": cfg.hash, "seed": cfg["seed"]}
+    delta = 0.01 / _weighted_l1_delta_scale(dim)
 
-    from .dsmc import advance, default_dt, init_ensemble
-    from .kernels import make_kernel
+    from .dsmc import advance, init_ensemble, step_size
 
-    law = RestitutionLaw(sim.e)
-    kernel = make_kernel(sim.kernel, sim.dim)
-    ens_a = init_ensemble(sim)
-    ens_b = init_ensemble(sim)
+    law = RestitutionLaw(phys["e"])
+    kernel = make_kernel(phys["kernel"], dim)
+    ens_a = init_ensemble(cfg)
+    ens_b = init_ensemble(cfg)
     ens_b.v *= math.sqrt(1.0 + delta)  # correlated perturbation of T
 
-    dt = sim.dt if sim.dt is not None else default_dt(sim, ens_a)
-    sample_times = np.arange(0.0, sim.t_final + 1e-9, sim.cadence)
-    bins = sim.bins
-    r_max = 12.0 * math.sqrt(1.0 + sim.t_final)  # generous fixed binning
+    dt = step_size(cfg, ens_a)
+    sample_times = np.arange(0.0, num["t_final"] + 1e-9, out["cadence"])
+    r_max = 12.0 * math.sqrt(1.0 + num["t_final"])  # generous fixed binning
     rows = []
     for t_out in sample_times:
         for ens in (ens_a, ens_b):
             while ens.time < t_out - 1e-12:
                 advance(ens, min(dt, t_out - ens.time), law, kernel)
         ha = histogram_from_speeds(np.linalg.norm(ens_a.v, axis=1), ens_a.weight,
-                                   sim.dim, n_bins=bins, r_max=r_max)
+                                   dim, n_bins=num["bins"], r_max=r_max)
         hb = histogram_from_speeds(np.linalg.norm(ens_b.v, axis=1), ens_b.weight,
-                                   sim.dim, n_bins=bins, r_max=r_max)
+                                   dim, n_bins=num["bins"], r_max=r_max)
         rows.append((t_out, stability_metric(ha, hb)))
 
     with open(os.path.join(out_dir, "stability.csv"), "w") as fh:
-        fh.write(f"# schema=1 kind=stability config_hash={cfg.hash} seed={sim.seed} "
+        fh.write(f"# schema=1 kind=stability config_hash={cfg.hash} seed={cfg['seed']} "
                  f"delta={gio.fmt(delta)}\n")
         fh.write("t,weighted_l1\n")
         for t, d in rows:
             fh.write(f"{gio.fmt(t)},{gio.fmt(d)}\n")
 
     # positivity run: two-bump initial datum in the rescaled frame
-    sim_pos = SimConfig(
-        e=sim.e, kernel=sim.kernel, dim=sim.dim, particles=sim.particles,
-        t_final=5.0, frame=FRAME_RESCALED,
-        initial={"kind": "two_bump", "center": [2.0] + [0.0] * (sim.dim - 1), "width": 0.4},
-        seed=sim.seed + 1, cadence=0.5, rho=sim.rho,
-        snapshot_times=(1.0, 2.0, 3.0, 4.0, 5.0), bins=sim.bins,
-    )
-    out, ens = run(sim_pos)
-    edges = equal_volume_edges(2.4, 8, sim.dim)
-    for t_snap, vel in out.snapshots:
+    pos = validate_config({
+        **cfg,
+        "initial": {"kind": "two_bump", "center": [2.0] + [0.0] * (dim - 1), "width": 0.4},
+        "frame": FRAME_RESCALED,
+        "seed": cfg["seed"] + 1,
+        "numerics": {**num, "t_final": 5.0},
+        "output": {**out, "cadence": 0.5, "snapshot_times": [1.0, 2.0, 3.0, 4.0, 5.0]},
+    })
+    run_out, ens = run(pos)
+    edges = equal_volume_edges(2.4, 8, dim)
+    for t_snap, vel in run_out.snapshots:
         speeds = np.linalg.norm(vel, axis=1)
-        h = histogram_from_speeds(speeds, ens.weight, sim.dim, edges=edges,
+        h = histogram_from_speeds(speeds, ens.weight, dim, edges=edges,
                                   frame=FRAME_RESCALED, time=t_snap)
         gio.write_hist_csv(os.path.join(out_dir, f"hist_pos_t{t_snap:g}.csv"), h, meta)
 

@@ -3,26 +3,40 @@ import math
 import numpy as np
 import pytest
 
+from granular.config import validate_config
 from granular.dsmc import (
     FRAME_ORIGINAL,
     FRAME_RESCALED,
-    SimConfig,
+    U_MAX_SAFETY,
     advance,
     collide_step,
     default_dt,
     drift_rescale_step,
     init_ensemble,
     run,
+    step_size,
 )
 from granular.kernels import RestitutionLaw, isotropic_kernel, tau_of
 from granular.observables import histogram, l1_distance
 from granular.rescale import forward_map
 
 
+SECTION = {"e": "physics", "dim": "physics", "rho": "physics", "particles": "numerics",
+           "dt": "numerics", "t_final": "numerics", "cadence": "output",
+           "snapshot_times": "output"}
+
+
 def cfg(**kw):
-    base = dict(e=0.8, dim=3, particles=4000, t_final=0.2, seed=5, cadence=0.1)
-    base.update(kw)
-    return SimConfig(**base)
+    """A validated config from flat keys (e, particles, cadence, frame, ...)."""
+    flat = dict(e=0.8, dim=3, particles=4000, t_final=0.2, seed=5, cadence=0.1)
+    flat.update(kw)
+    raw = {}
+    for key, value in flat.items():
+        if key in SECTION:
+            raw.setdefault(SECTION[key], {})[key] = value
+        else:
+            raw[key] = value
+    return validate_config(raw)
 
 
 class TestInit:
@@ -66,11 +80,6 @@ class TestInit:
         with pytest.raises(ValueError):
             init_ensemble(cfg(initial={"kind": "from_file", "path": str(bad)}))
 
-    def test_config_validation(self):
-        assert SimConfig(e=2.0).validate()
-        assert SimConfig(dt=-1.0).validate()
-        assert not cfg().validate()
-
 
 class TestCollide:
     def test_elastic_step_conserves_energy(self):
@@ -108,10 +117,15 @@ class TestCollide:
         assert dev <= 3.0 * rep["se"]
 
     def test_majorant_violation_recovery(self):
-        config = cfg(particles=3000, u_max_safety=0.3, t_final=0.05)
-        out, ens = run(config)
-        assert out.tallies["majorant_violations"] > 0
-        assert ens.u_max > 0
+        ens = init_ensemble(cfg(particles=3000))
+        ens.u_max *= 0.3 / U_MAX_SAFETY  # as if seeded with safety factor 0.3
+        low = ens.u_max
+        law, kern = RestitutionLaw(0.8), isotropic_kernel(3)
+        violations = sum(advance(ens, default_dt(ens), law, kern).violations
+                         for _ in range(20))
+        assert violations > 0
+        assert ens.majorant_violations == violations
+        assert ens.u_max > low
 
 
 class TestDrift:
@@ -153,7 +167,7 @@ class TestLazyScale:
         config = cfg(frame=FRAME_RESCALED, particles=4000, seed=13)
         lazy, eager = init_ensemble(config), init_ensemble(config)
         law, kern = RestitutionLaw(0.8), isotropic_kernel(3)
-        dt = 20.0 * default_dt(config, lazy)
+        dt = 20.0 * default_dt(lazy)
         for _ in range(10):
             a = advance(lazy, dt, law, kern)
             b = _eager_advance(eager, dt, law, kern)
@@ -164,17 +178,6 @@ class TestLazyScale:
         assert math.isclose(lazy.u_max, eager.u_max, rel_tol=1e-13)
         ref = eager.v
         assert np.max(np.abs(lazy.v - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_copy_keeps_pending_scale(self):
-        ens = init_ensemble(cfg(frame=FRAME_RESCALED))
-        drift_rescale_step(ens, 0.3)
-        dup = ens.copy()
-        assert dup.scale == ens.scale != 1.0
-        assert dup.w is not ens.w
-        v_dup = dup.v.copy()
-        assert np.array_equal(v_dup, ens.v)
-        ens.v[0] += 1.0
-        assert np.array_equal(dup.v, v_dup)
 
     def test_write_through_v_keeps_ledger(self):
         ens = init_ensemble(cfg(frame=FRAME_RESCALED))
@@ -241,8 +244,13 @@ class TestRunDriver:
         out, _ = run(cfg(t_final=0.3, cadence=0.1))
         assert np.allclose(out.times, [0.0, 0.1, 0.2, 0.3], atol=1e-9)
 
+    def test_step_size(self):
+        ens = init_ensemble(cfg())
+        assert step_size(cfg(), ens) == default_dt(ens) == 0.01 / (ens.mass * ens.u_max)
+        assert step_size(cfg(dt=2e-3), ens) == 2e-3
+
     def test_snapshots(self):
-        out, _ = run(cfg(t_final=0.2, snapshot_times=(0.1,)))
+        out, _ = run(cfg(t_final=0.2, snapshot_times=[0.1]))
         times = [t for t, _ in out.snapshots]
         assert np.allclose(times, [0.1, 0.2], atol=1e-9)
 
@@ -272,10 +280,9 @@ class TestFrameConsistency:
         # halving dt moves the stationary energy by less than the noise
         base = dict(particles=8000, t_final=4.0, cadence=0.5, seed=31,
                     frame=FRAME_RESCALED, e=0.8, dim=3)
-        out1, _ = run(SimConfig(**base))
-        ens0 = init_ensemble(SimConfig(**base))
-        dt_half = default_dt(SimConfig(**base), ens0) / 2.0
-        out2, _ = run(SimConfig(**base, dt=dt_half))
+        out1, _ = run(cfg(**base))
+        dt_half = default_dt(init_ensemble(cfg(**base))) / 2.0
+        out2, _ = run(cfg(**base, dt=dt_half))
         late1 = out1.energy[out1.times >= 3.0].mean()
         late2 = out2.energy[out2.times >= 3.0].mean()
         assert abs(late1 - late2) / late1 < 0.08

@@ -18,7 +18,6 @@ def run_outputs(draw):
     dim = draw(st.integers(2, 4))
     col = arrays(float, rows, elements=finite)
     return RunOutput(
-        config=None,
         times=draw(col),
         mass=draw(col),
         momentum=draw(arrays(float, (rows, dim), elements=finite)),
@@ -74,6 +73,23 @@ def test_hist_csv_round_trip(tmp_path_factory, hist):
     assert np.array_equal(back.density, hist.density)
     assert np.array_equal(back.counts, hist.counts)
     assert (back.dim, back.frame, back.time) == (hist.dim, hist.frame, hist.time)
-    # the reader rebuilds the mass as sum(density * shell volume), which
-    # rounds differently from the sum of the binned weights
-    assert back.mass == pytest.approx(hist.mass, rel=1e-12, abs=1e-300)
+    assert (back.mass, back.clipped) == (hist.mass, hist.clipped)
+
+
+def test_hist_csv_counts_speeds_above_r_max(tmp_path):
+    speeds = np.array([0.5, 1.0, 2.0, 3.0, 4.5, 7.0])
+    hist = histogram_from_speeds(speeds, 0.25, 3, n_bins=8, r_max=3.0)
+    assert hist.clipped == 2
+    assert hist.counts.sum() + hist.clipped == len(speeds)
+    path = tmp_path / "hist.csv"
+    gio.write_hist_csv(path, hist)
+    assert "mass=1.0 clipped=2" in path.read_text().splitlines()[0]
+    back = gio.read_hist_csv(path)
+    assert (back.mass, back.clipped) == (1.0, 2)
+
+
+def test_hist_csv_without_mass_rejected(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text("# schema=1 kind=hist dim=3\nr_lo,r_hi,g_radial,count\n0.0,1.0,0.5,3\n")
+    with pytest.raises(ValueError, match="no mass="):
+        gio.read_hist_csv(path)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import kstest
 
 from granular.kernels import (
@@ -139,6 +142,46 @@ class TestCollisionMaps:
             np.concatenate(post_collisional(v, vs, sig, law(1.0))),
             np.concatenate(pre_collisional(v, vs, sig, law(1.0))),
         )
+
+
+@st.composite
+def collisions(draw):
+    """(v, v_star, unit sigma, law) with e in [0, 1] and N in {2, 3}."""
+    dim = draw(st.sampled_from([2, 3]))
+    vec = arrays(float, dim, elements=st.floats(-10.0, 10.0))
+    v, v_star, s = draw(vec), draw(vec), draw(vec)
+    assume(np.linalg.norm(s) > 1e-3)
+    return v, v_star, s / np.linalg.norm(s), law(draw(st.floats(0.0, 1.0)))
+
+
+def _close(actual, expected, scale):
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * max(scale, 1e-300))
+
+
+class TestCollisionMapProperties:
+    """The lazy v = s * w scale of the DSMC engine collides w in place of
+    v, which is exact only because the map is homogeneous of degree 1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=collisions(), lam=st.floats(1e-3, 1e3))
+    def test_homogeneous_of_degree_one(self, c, lam):
+        v, v_star, sigma, lw = c
+        vp, vsp = post_collisional(v, v_star, sigma, lw)
+        sp, ssp = post_collisional(lam * v, lam * v_star, sigma, lw)
+        scale = lam * max(np.abs(v).max(), np.abs(v_star).max())
+        _close(sp, lam * vp, scale)
+        _close(ssp, lam * vsp, scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=collisions(), shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    def test_galilean_covariant(self, c, shift):
+        v, v_star, sigma, lw = c
+        a = np.array(shift[: len(v)])
+        vp, vsp = post_collisional(v, v_star, sigma, lw)
+        sp, ssp = post_collisional(v + a, v_star + a, sigma, lw)
+        scale = max(np.abs(v).max(), np.abs(v_star).max(), np.abs(a).max())
+        _close(sp, vp + a, scale)
+        _close(ssp, vsp + a, scale)
 
 
 class TestRoundTrip:

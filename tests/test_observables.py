@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from granular.dsmc import SimConfig, init_ensemble
+from granular.config import validate_config
+from granular.dsmc import init_ensemble
 from granular.observables import (
     VelocityHistogram,
     energy_bounds_check,
@@ -24,8 +25,8 @@ from granular.quadrature import sphere_area
 
 
 def gaussian_ens(n=50000, t=1.0, seed=0, dim=3):
-    cfg = SimConfig(particles=n, seed=seed, dim=dim,
-                    initial={"kind": "gaussian", "temperature": t})
+    cfg = validate_config({"numerics": {"particles": n}, "seed": seed, "physics": {"dim": dim},
+                           "initial": {"kind": "gaussian", "temperature": t}})
     return init_ensemble(cfg)
 
 
@@ -122,8 +123,8 @@ class TestExponentialMoment:
 
 class TestHistogram:
     def test_uniform_ball_flat(self):
-        cfg = SimConfig(particles=200000, seed=7,
-                        initial={"kind": "uniform_ball", "radius": 2.0})
+        cfg = validate_config({"numerics": {"particles": 200000}, "seed": 7,
+                               "initial": {"kind": "uniform_ball", "radius": 2.0}})
         ens = init_ensemble(cfg)
         h = histogram(ens, n_bins=16, r_max=2.0)
         inner = h.density[2:14]

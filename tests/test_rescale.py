@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from granular.dsmc import FRAME_ORIGINAL, FRAME_RESCALED, SimConfig, init_ensemble
+from granular.config import validate_config
+from granular.dsmc import FRAME_ORIGINAL, FRAME_RESCALED, init_ensemble
 from granular.rescale import (
     ScalingState,
     forward_map,
@@ -14,7 +15,7 @@ from granular.rescale import (
 
 
 def make_ens(frame=FRAME_ORIGINAL, time=0.0):
-    cfg = SimConfig(particles=1000, seed=3, frame=frame)
+    cfg = validate_config({"numerics": {"particles": 1000}, "seed": 3, "frame": frame})
     ens = init_ensemble(cfg)
     ens.time = time
     return ens
