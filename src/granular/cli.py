@@ -18,7 +18,7 @@ import sys
 from . import io as gio
 from .config import PRESET_NAMES, parse_config, validate_config
 from .dsmc import FRAME_RESCALED
-from .rescale import ScalingState, transfer_moment_series
+from .rescale import transfer_moment_series
 from .reporting import (
     emit_report,
     haff_slope_check,
@@ -90,12 +90,11 @@ def cmd_tail(args):
 
 def cmd_transfer(args):
     mom = gio.read_moments_csv(args.input)
-    state = ScalingState(args.c_star, int(mom["meta"].get("dim", 3)))
     col = {0: "mass", 2: "energy"}.get(args.k, f"m{args.k}")
     if col not in mom:
         print(f"error: column {col} not present in {args.input}", file=sys.stderr)
         return 2
-    tgt, vals, src = transfer_moment_series(mom["t"], mom[col], args.k, args.direction, state)
+    tgt, vals, src = transfer_moment_series(mom["t"], mom[col], args.k, args.direction)
     gio.write_transfer_csv(args.out, src, tgt, vals, args.k, args.direction,
                            {"config_hash": mom["meta"].get("config_hash", "none")})
     print(f"wrote {args.out}")
@@ -152,7 +151,6 @@ def build_parser():
     sp.add_argument("--input", required=True)
     sp.add_argument("--direction", choices=["g2f", "f2g"], required=True)
     sp.add_argument("-k", type=int, default=2, help="moment order |v|^k")
-    sp.add_argument("--c-star", type=float, default=1.0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_transfer)
 

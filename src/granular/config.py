@@ -112,7 +112,8 @@ def validate_config(raw):
 
     phys = cfg["physics"]
     _check_number(errors, "physics.e", phys.get("e"), lo=0.0, hi=1.0)
-    _check_number(errors, "physics.dim", phys.get("dim"), lo=2, integer=True)
+    # moments.csv names the momentum components px, py, pz, pw
+    _check_number(errors, "physics.dim", phys.get("dim"), lo=2, hi=4, integer=True)
     _check_number(errors, "physics.rho", phys.get("rho"), lo=1e-300)
     kern = phys.get("kernel")
     if not isinstance(kern, dict) or kern.get("kind") not in _KERNEL_KINDS:

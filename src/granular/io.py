@@ -1,8 +1,14 @@
-"""CSV/JSON persistence for runs. Every file carries a comment header
-with schema version, config hash and seed so reports can be rebuilt
-from raw outputs alone. Radial histograms have one format, with the
-edges of each shell written out, so uniform and non-uniform binnings
-read back exactly."""
+"""CSV/JSON persistence for runs, so reports can be rebuilt from raw
+outputs alone.
+
+Every CSV file is one table, written by `write_table` and read by
+`read_table`: a header line `# schema=1 kind=<kind> k=v ...` (config
+hash, seed and whatever else the kind records), a line of column names,
+and one comma-separated row per record. Each cell is the shortest
+round-trip repr of a float (`fmt`), except in a column named `count`,
+which holds integers. The named readers and writers below fix the
+columns of their kind. Radial histograms write the edges of each shell,
+so uniform and non-uniform binnings read back exactly."""
 
 import json
 import os
@@ -12,11 +18,12 @@ import numpy as np
 from .observables import VelocityHistogram
 
 __all__ = [
+    "write_table",
+    "read_table",
     "write_moments_csv",
     "read_moments_csv",
     "write_hist_csv",
     "read_hist_csv",
-    "write_snapshot_json",
     "write_transfer_csv",
     "write_json",
     "read_json",
@@ -29,53 +36,54 @@ def fmt(x):
     return repr(float(x))
 
 
-def _header(meta):
-    items = " ".join(f"{k}={v}" for k, v in meta.items())
-    return f"# {items}\n"
+def _fmt_count(x):
+    return str(int(x))
 
 
-def _parse_header(line):
-    meta = {}
-    for tok in line.lstrip("#").split():
-        if "=" in tok:
-            k, v = tok.split("=", 1)
-            meta[k] = v
-    return meta
+def write_table(path, kind, meta, columns, rows):
+    """Write one table: the header of kind and meta, the column names,
+    then each row of len(columns) numbers."""
+    cell = [_fmt_count if c == "count" else fmt for c in columns]
+    head = " ".join(f"{k}={v}" for k, v in {"schema": 1, "kind": kind, **meta}.items())
+    with open(path, "w") as fh:
+        fh.write(f"# {head}\n" + ",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f(x) for f, x in zip(cell, row, strict=True)) + "\n")
+
+
+def read_table(path):
+    """(meta, columns, data) of a table written by write_table: the
+    header as a dict of strings, the column names, and a float array
+    with one column per name."""
+    with open(path) as fh:
+        meta = dict(tok.split("=", 1) for tok in fh.readline().lstrip("#").split() if "=" in tok)
+        columns = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.size == 0:
+        data = data.reshape(0, len(columns))
+    elif data.shape[1] != len(columns):
+        raise ValueError(f"{path}: rows of {data.shape[1]} values under {len(columns)} columns")
+    return meta, columns, data
 
 
 def write_moments_csv(path, run_out, extra_meta=None):
-    meta = {
-        "schema": 1,
-        "kind": "moments",
-        "config_hash": (extra_meta or {}).get("config_hash", "none"),
-        "seed": run_out.metadata["seed"],
-        "frame": run_out.metadata["frame"],
-        "dim": run_out.metadata["dim"],
-        "rho": run_out.metadata["rho"],
-        "e": run_out.metadata["e"],
-    }
-    dim = run_out.metadata["dim"]
-    mom_cols = ",".join(f"p{ax}" for ax in "xyzw"[:dim])
+    md = run_out.metadata
+    meta = {"config_hash": (extra_meta or {}).get("config_hash", "none"),
+            **{k: md[k] for k in ("seed", "frame", "dim", "rho", "e")}}
     powers = sorted(run_out.speed_moments)
-    with open(path, "w") as fh:
-        fh.write(_header(meta))
-        fh.write(f"t,mass,{mom_cols},energy," + ",".join(f"m{p}" for p in powers) + "\n")
-        for k in range(len(run_out.times)):
-            row = [run_out.times[k], run_out.mass[k], *run_out.momentum[k], run_out.energy[k]]
-            row += [run_out.speed_moments[p][k] for p in powers]
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+    columns = ["t", "mass", *(f"p{ax}" for ax in "xyzw"[: md["dim"]]), "energy",
+               *(f"m{p}" for p in powers)]
+    rows = ([run_out.times[k], run_out.mass[k], *run_out.momentum[k], run_out.energy[k],
+             *(run_out.speed_moments[p][k] for p in powers)] for k in range(len(run_out.times)))
+    write_table(path, "moments", meta, columns, rows)
 
 
 def read_moments_csv(path):
-    with open(path) as fh:
-        meta = _parse_header(fh.readline())
-        cols = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    meta, cols, data = read_table(path)
     out = {"meta": meta, "columns": cols}
     for i, c in enumerate(cols):
         out[c] = data[:, i]
-    dim = int(meta.get("dim", 3))
-    out["momentum"] = data[:, 2 : 2 + dim]
+    out["momentum"] = data[:, 2 : 2 + int(meta.get("dim", 3))]
     return out
 
 
@@ -83,8 +91,6 @@ def write_hist_csv(path, hist, extra_meta=None):
     """Radial histogram with explicit (possibly non-uniform) shell edges; the
     header also carries the binned mass and the count clipped above the last edge."""
     meta = {
-        "schema": 1,
-        "kind": "hist",
         "config_hash": (extra_meta or {}).get("config_hash", "none"),
         "seed": (extra_meta or {}).get("seed", "none"),
         "frame": hist.frame,
@@ -93,18 +99,12 @@ def write_hist_csv(path, hist, extra_meta=None):
         "mass": fmt(hist.mass),
         "clipped": hist.clipped,
     }
-    with open(path, "w") as fh:
-        fh.write(_header(meta))
-        fh.write("r_lo,r_hi,g_radial,count\n")
-        for lo, hi, d, c in zip(hist.edges[:-1], hist.edges[1:], hist.density, hist.counts):
-            fh.write(f"{fmt(lo)},{fmt(hi)},{fmt(d)},{int(c)}\n")
+    rows = zip(hist.edges[:-1], hist.edges[1:], hist.density, hist.counts)
+    write_table(path, "hist", meta, ["r_lo", "r_hi", "g_radial", "count"], rows)
 
 
 def read_hist_csv(path):
-    with open(path) as fh:
-        meta = _parse_header(fh.readline())
-        fh.readline()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    meta, _, data = read_table(path)
     if "mass" not in meta:
         raise ValueError(f"{path}: histogram header has no mass= (written by an older version)")
     return VelocityHistogram(
@@ -119,31 +119,9 @@ def read_hist_csv(path):
     )
 
 
-def write_snapshot_json(path, run_out, time, extra_meta=None):
-    payload = {
-        "schema": 1,
-        "kind": "snapshot",
-        "config_hash": (extra_meta or {}).get("config_hash", "none"),
-        "time": time,
-        "metadata": run_out.metadata,
-        "tallies": run_out.tallies,
-    }
-    write_json(path, payload)
-
-
 def write_transfer_csv(path, source_times, target_times, values, k, direction, meta=None):
-    hdr = {
-        "schema": 1,
-        "kind": "transfer",
-        "direction": direction,
-        "moment_order": k,
-    }
-    hdr.update(meta or {})
-    with open(path, "w") as fh:
-        fh.write(_header(hdr))
-        fh.write("source_time,target_time,value\n")
-        for s, t, v in zip(source_times, target_times, values):
-            fh.write(f"{fmt(s)},{fmt(t)},{fmt(v)}\n")
+    write_table(path, "transfer", {"direction": direction, "moment_order": k, **(meta or {})},
+                ["source_time", "target_time", "value"], zip(source_times, target_times, values))
 
 
 def write_json(path, payload):

@@ -174,6 +174,8 @@ def histogram_from_speeds(speeds, weights, dim, n_bins=64, r_max=None, frame="or
         r_max = float(edges[-1])
     else:
         edges = np.linspace(0.0, r_max, n_bins + 1)
+    if not np.all(np.diff(edges) > 0.0):  # a zero-width shell has no volume to divide by
+        raise ValueError(f"histogram edges must increase strictly (r_max={r_max!r})")
     idx = np.clip(np.searchsorted(edges, speeds, side="right") - 1, 0, n_bins - 1)
     inside = speeds <= r_max
     counts = np.bincount(idx[inside], minlength=n_bins).astype(float)

@@ -1,9 +1,9 @@
 """Exact changes of variables between original solutions f and
 rescaled solutions g.
 
-With scaling rate c_star (fixed to 1 by convention in all presets),
+The rescaling runs at unit rate, the one the rescaled DSMC frame uses:
 
-    K(t) = (1 + c t)^N,   T(t) = ln(1 + c t)/c,   V(t) = 1 + c t,
+    K(t) = (1 + t)^N,   T(t) = ln(1 + t),   V(t) = 1 + t,
 
 and g(T(t), w) is the law of V(t) v when v is distributed by f(t, .).
 At the particle level both maps are exact velocity scalings, so moments
@@ -11,7 +11,6 @@ transfer as |.|^k norms times V^{+-k}.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -19,7 +18,6 @@ from scipy.interpolate import PchipInterpolator
 from .dsmc import FRAME_ORIGINAL, FRAME_RESCALED, ParticleEnsemble
 
 __all__ = [
-    "ScalingState",
     "scaling_functions",
     "forward_map",
     "inverse_map",
@@ -27,71 +25,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalingState:
-    c_star: float = 1.0
-    dim: int = 3
-
-    def __post_init__(self):
-        if self.c_star <= 0:
-            raise ValueError("c_star must be positive")
-
-
-def scaling_functions(t, state=ScalingState()):
+def scaling_functions(t, dim=3):
     """(K, T, V) at original time t >= 0; K = V^N identically."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be >= 0")
-    v = 1.0 + state.c_star * np.asarray(t, dtype=float)
-    k = v**state.dim
-    tau = np.log(v) / state.c_star
-    return k, tau, v
+    v = 1.0 + np.asarray(t, dtype=float)
+    return v**dim, np.log(v), v
 
 
-def forward_map(ens, state=ScalingState()):
+def forward_map(ens):
     """Original-frame ensemble at time t -> rescaled ensemble at
     tau = T(t): velocities scale by V(t), weights unchanged."""
     if ens.frame != FRAME_ORIGINAL:
         raise ValueError("forward_map expects an original-frame ensemble")
-    _, tau, v_fac = scaling_functions(ens.time, state)
+    _, tau, v_fac = scaling_functions(ens.time)
     out = ParticleEnsemble(
         ens.v * v_fac, ens.weight, FRAME_RESCALED, ens.rng, ens.u_max * v_fac, float(tau)
     )
     return out
 
 
-def inverse_map(ens, state=ScalingState()):
+def inverse_map(ens):
     """Rescaled ensemble at tau -> original ensemble at t with
-    T(t) = tau, i.e. t = (exp(c tau) - 1)/c; exact inverse of
-    forward_map up to floating-point rounding."""
+    T(t) = tau, i.e. t = exp(tau) - 1; exact inverse of forward_map up
+    to floating-point rounding."""
     if ens.frame != FRAME_RESCALED:
         raise ValueError("inverse_map expects a rescaled-frame ensemble")
-    c = state.c_star
-    t = (math.exp(c * ens.time) - 1.0) / c
-    v_fac = 1.0 + c * t  # = exp(c tau)
+    t = math.exp(ens.time) - 1.0
+    v_fac = 1.0 + t  # = exp(tau)
     out = ParticleEnsemble(
         ens.v / v_fac, ens.weight, FRAME_ORIGINAL, ens.rng, ens.u_max / v_fac, t
     )
     return out
 
 
-def transfer_moment_series(times, values, k, direction, state=ScalingState(), target_times=None):
+def transfer_moment_series(times, values, k, direction, target_times=None):
     """Transfer a |.|^k moment series between frames.
 
     direction "g2f": input sampled in rescaled time tau, output at
-    t = (exp(c tau) - 1)/c with value * V^{-k}; "f2g" is the inverse.
+    t = exp(tau) - 1 with value * V^{-k}; "f2g" is the inverse.
     Returns (target_times, transferred_values, source_times). With
     target_times given, resamples by monotone cubic interpolation in
     the source time variable and refuses to extrapolate.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    c = state.c_star
     if direction == "g2f":
-        t_nat = (np.exp(c * times) - 1.0) / c
-        fac = (1.0 + c * t_nat) ** (-k)
+        t_nat = np.exp(times) - 1.0
+        fac = (1.0 + t_nat) ** (-k)
     elif direction == "f2g":
-        t_nat = np.log(1.0 + c * times) / c
-        fac = (1.0 + c * times) ** k
+        t_nat = np.log(1.0 + times)
+        fac = (1.0 + times) ** k
     else:
         raise ValueError("direction must be 'g2f' or 'f2g'")
     out_vals = values * fac

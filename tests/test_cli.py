@@ -1,11 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from granular import cli
 from granular import io as gio
 from granular.reporting import haff_slope_check
+from granular.rescale import transfer_moment_series
 
 SMALL = {"numerics": {"particles": 2000, "t_final": 3.0}, "output": {"cadence": 0.25}}
 
@@ -48,13 +50,32 @@ def test_haff_after_simulate(simulated, tmp_path, capsys):
     assert rc == (0 if check["pass"] else 1)
 
 
+@pytest.mark.parametrize("direction", ["g2f", "f2g"])
+def test_transfer_is_transfer_moment_series(simulated, tmp_path, capsys, direction):
+    _, out = simulated
+    dest = tmp_path / "transfer.csv"
+    assert cli.main(["transfer", "--input", str(out / "moments.csv"), "--direction", direction,
+                     "--out", str(dest)]) == 0
+    assert capsys.readouterr().out == f"wrote {dest}\n"
+    mom = gio.read_moments_csv(out / "moments.csv")
+    meta, columns, data = gio.read_table(dest)
+    assert (meta["kind"], meta["direction"], meta["moment_order"]) == ("transfer", direction, "2")
+    assert meta["config_hash"] == mom["meta"]["config_hash"]
+    assert columns == ["source_time", "target_time", "value"]
+    target, values, source = transfer_moment_series(mom["t"], mom["energy"], 2, direction)
+    assert np.array_equal(data, np.stack([source, target, values], axis=1))
+
+
 @pytest.mark.parametrize("argv, message", [
     (lambda tmp, run: ["haff", "--input", str(tmp / "missing.csv")], "No such file or directory"),
     (lambda tmp, run: ["tail", "--input", str(run / "hist_t3.csv")], "tail window"),
     (lambda tmp, run: ["haff", "--input", str(run / "moments.csv"), "--window", "50", "60"],
      "window holds fewer than 3 samples"),
     (lambda tmp, run: ["report", "--dir", str(tmp)], "missing config.json"),
-], ids=["missing-input", "sparse-tail", "empty-window", "report-without-run"])
+    (lambda tmp, run: ["transfer", "--input", str(run / "moments.csv"), "--direction", "g2f",
+                       "-k", "7", "--out", str(tmp / "t.csv")], "column m7 not present"),
+], ids=["missing-input", "sparse-tail", "empty-window", "report-without-run",
+        "transfer-missing-column"])
 def test_bad_input_exits_2_with_one_line(simulated, tmp_path, capsys, argv, message):
     _, run_dir = simulated
     assert cli.main(argv(tmp_path, run_dir)) == 2

@@ -54,6 +54,7 @@ ERROR_CASES = {
     "nan-integer": ({"numerics": {"particles": float("nan")}},
                     ["numerics.particles: must be finite"]),
     "not-an-integer": ({"physics": {"dim": 2.5}}, ["physics.dim: expected an integer, got 2.5"]),
+    "dim-above-maximum": ({"physics": {"dim": 5}}, ["physics.dim: 5 above maximum 4"]),
     "below-minimum": ({"physics": {"e": -0.1}}, ["physics.e: -0.1 below minimum 0.0"]),
     "above-maximum": ({"physics": {"e": 1.5}}, ["physics.e: 1.5 above maximum 1.0"]),
     "kernel-kind": ({"physics": {"kernel": {"kind": "hard"}}},

@@ -56,7 +56,7 @@ def histograms(draw):
     if draw(st.booleans()):  # uniform bins, as written by simulate
         kw["n_bins"] = draw(st.integers(8, 80))
         kw["r_max"] = draw(st.none() | st.floats(0.5, 50.0))
-        if kw["r_max"] is None and speeds.max() == 0.0:
+        if kw["r_max"] is None and speeds.max() < 1e-300:  # too small to bin
             kw["r_max"] = 1.0
     else:  # equal-volume shells, as written by the stability preset
         kw["edges"] = equal_volume_edges(draw(st.floats(0.5, 50.0)), draw(st.integers(2, 40)), dim)
@@ -93,3 +93,56 @@ def test_hist_csv_without_mass_rejected(tmp_path):
     path.write_text("# schema=1 kind=hist dim=3\nr_lo,r_hi,g_radial,count\n0.0,1.0,0.5,3\n")
     with pytest.raises(ValueError, match="no mass="):
         gio.read_hist_csv(path)
+
+
+def _rows(n_cols):
+    return st.integers(0, 12).flatmap(lambda n: arrays(float, (n, n_cols), elements=finite))
+
+
+@ROUND_TRIP
+@given(data=_rows(3), k=st.integers(0, 8), direction=st.sampled_from(["g2f", "f2g", "identity"]))
+def test_transfer_csv_round_trip(tmp_path_factory, data, k, direction):
+    path = tmp_path_factory.mktemp("transfer") / "transfer.csv"
+    gio.write_transfer_csv(path, *data.T, k, direction, {"config_hash": "abc"})
+    meta, columns, back = gio.read_table(path)
+    assert meta == {"schema": "1", "kind": "transfer", "direction": direction,
+                    "moment_order": str(k), "config_hash": "abc"}
+    assert columns == ["source_time", "target_time", "value"]
+    assert np.array_equal(back, data)
+
+
+# the columns of the tables the operator-check and stability presets write
+TABLES = {
+    "qcheck": ["e", "v_index", "vx", "vy", "q_plus_direct", "q_plus_carleman", "rel_err",
+               "q_minus", "error_estimate"],
+    "stability": ["t", "weighted_l1"],
+}
+
+
+@ROUND_TRIP
+@given(kind=st.sampled_from(sorted(TABLES)), rows=st.data(), seed=st.integers(0, 2**31))
+def test_table_round_trip(tmp_path_factory, kind, rows, seed):
+    columns = TABLES[kind]
+    data = rows.draw(_rows(len(columns)))
+    path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+    gio.write_table(path, kind, {"config_hash": "abc", "seed": seed, "delta": 0.1}, columns, data)
+    meta, back_columns, back = gio.read_table(path)
+    assert meta == {"schema": "1", "kind": kind, "config_hash": "abc", "seed": str(seed),
+                    "delta": "0.1"}
+    assert back_columns == columns
+    assert np.array_equal(back, data)
+
+
+def test_count_column_holds_integers(tmp_path):
+    path = tmp_path / "t.csv"
+    gio.write_table(path, "hist", {}, ["r_lo", "count"], [(0.0, 3), (1.0, 4.0)])
+    assert path.read_text().splitlines()[1:] == ["r_lo,count", "0.0,3", "1.0,4"]
+
+
+def test_row_length_must_match_columns(tmp_path):
+    with pytest.raises(ValueError):
+        gio.write_table(tmp_path / "t.csv", "moments", {}, ["t", "px"], [(0.0, 1.0, 2.0)])
+    path = tmp_path / "short_header.csv"
+    path.write_text("# schema=1 kind=moments\nt,px\n0.0,1.0,2.0\n")
+    with pytest.raises(ValueError, match="rows of 3 values under 2 columns"):
+        gio.read_table(path)

@@ -145,13 +145,13 @@ class TestCollisionMaps:
 
 
 @st.composite
-def collisions(draw):
-    """(v, v_star, unit sigma, law) with e in [0, 1] and N in {2, 3}."""
+def collisions(draw, e_min=0.0):
+    """(v, v_star, unit sigma, law) with e in [e_min, 1] and N in {2, 3}."""
     dim = draw(st.sampled_from([2, 3]))
     vec = arrays(float, dim, elements=st.floats(-10.0, 10.0))
     v, v_star, s = draw(vec), draw(vec), draw(vec)
     assume(np.linalg.norm(s) > 1e-3)
-    return v, v_star, s / np.linalg.norm(s), law(draw(st.floats(0.0, 1.0)))
+    return v, v_star, s / np.linalg.norm(s), law(draw(st.floats(e_min, 1.0)))
 
 
 def _close(actual, expected, scale):
@@ -182,6 +182,35 @@ class TestCollisionMapProperties:
         scale = max(np.abs(v).max(), np.abs(v_star).max(), np.abs(a).max())
         _close(sp, vp + a, scale)
         _close(ssp, vsp + a, scale)
+
+
+class TestPreCollisionalProperties:
+    """pre_collisional with the direction from inverse_sigma undoes a
+    collision, for every e > 0. Pairs with |u| < 1e-150 are left out:
+    there |u|^2 underflows inside np.linalg.norm, and every map treats
+    the pair as u = 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=collisions(e_min=0.01))
+    def test_pre_collisional_inverted_by_inverse_sigma(self, c):
+        v, v_star, sigma, lw = c
+        assume(np.linalg.norm(v - v_star) > 1e-150)
+        pv, pvs = pre_collisional(v, v_star, sigma, lw)
+        back, back_star = post_collisional(pv, pvs, inverse_sigma(v, v_star, sigma, lw), lw)
+        scale = max(np.linalg.norm(pv), np.linalg.norm(pvs))
+        assert np.max(np.abs(back - v)) <= 1e-12 * scale
+        assert np.max(np.abs(back_star - v_star)) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=collisions(e_min=0.01))
+    def test_pre_collisional_speed_not_smaller(self, c):
+        v, v_star, sigma, lw = c
+        assume(np.linalg.norm(v - v_star) > 1e-150)
+        pv, pvs = pre_collisional(v, v_star, sigma, lw)
+        u, u_pre = np.linalg.norm(v - v_star), np.linalg.norm(pv - pvs)
+        # equality at sigma = u_hat; the slack covers rounding at the
+        # scale of the velocities, as in the inversion test above
+        assert u_pre >= u - 1e-12 * max(np.linalg.norm(pv), np.linalg.norm(pvs))
 
 
 class TestRoundTrip:

@@ -154,6 +154,15 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram(ens, n_bins=4)
 
+    @pytest.mark.parametrize("speeds, kw", [
+        ([0.0, 0.0], {}),  # r_max = 0
+        ([0.0, 5e-324], {}),  # r_max subnormal: linspace repeats edges
+        ([0.5], {"edges": [0.0, 1.0, 1.0, 2.0]}),
+    ], ids=["zero-speeds", "subnormal-r-max", "repeated-edge"])
+    def test_zero_width_shell_rejected(self, speeds, kw):
+        with pytest.raises(ValueError, match="edges must increase strictly"):
+            histogram_from_speeds(np.array(speeds), 1.0, 2, n_bins=8, **kw)
+
 
 def synthetic_hist(fn, dim=3, n_bins=64, r_max=8.0, counts=10**4):
     edges = np.linspace(0.0, r_max, n_bins + 1)

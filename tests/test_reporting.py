@@ -68,6 +68,19 @@ class TestHaffLawRun:
         assert rc == (0 if check["pass"] else 1)
 
 
+def test_sparse_tail_window_fails_the_check_not_the_report(tmp_path):
+    report = run_preset("self-similar", str(tmp_path), seed=3, overrides={
+        "numerics.particles": 3000, "numerics.t_final": 3.25,
+        "output.snapshot_times": [3.0, 3.25]})
+    assert [c["check"] for c in report["checks"]] == [
+        "profile_stationarity", "tail_order_one", "normalized_moments_bounded",
+        "rescaled_energy_upper", "rescaled_energy_lower", "exponential_moment_stable"]
+    tail = report["checks"][1]
+    assert not tail["pass"] and tail["value"] is None
+    assert "usable bins" in tail["detail"]
+    assert gio.read_json(os.path.join(tmp_path, "report.json")) == json.loads(json.dumps(report))
+
+
 def test_cli_tail_is_the_preset_check(tmp_path):
     speeds = np.linalg.norm(np.random.default_rng(3).normal(size=(200000, 3)), axis=1)
     hist = histogram_from_speeds(speeds, 1.0 / len(speeds), 3, n_bins=64, time=2.0)

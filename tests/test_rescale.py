@@ -6,7 +6,6 @@ import pytest
 from granular.config import validate_config
 from granular.dsmc import FRAME_ORIGINAL, FRAME_RESCALED, init_ensemble
 from granular.rescale import (
-    ScalingState,
     forward_map,
     inverse_map,
     scaling_functions,
@@ -23,23 +22,18 @@ def make_ens(frame=FRAME_ORIGINAL, time=0.0):
 
 class TestScalingFunctions:
     def test_initial_normalization(self):
-        k, tau, v = scaling_functions(0.0, ScalingState(1.0, 3))
+        k, tau, v = scaling_functions(0.0, 3)
         assert (k, tau, v) == (1.0, 0.0, 1.0)
 
     def test_unit_rate(self):
-        k, tau, v = scaling_functions(1.0, ScalingState(1.0, 3))
+        k, tau, v = scaling_functions(1.0, 3)
         assert (k, v) == (8.0, 2.0)
         assert math.isclose(tau, math.log(2.0), rel_tol=1e-15)
-
-    def test_other_rate(self):
-        k, tau, v = scaling_functions(1.0, ScalingState(2.0, 3))
-        assert v == 3.0
-        assert math.isclose(tau, math.log(3.0) / 2.0, rel_tol=1e-15)
 
     def test_k_equals_v_pow_n(self):
         for dim in (2, 3):
             t = np.linspace(0, 5, 11)
-            k, _, v = scaling_functions(t, ScalingState(1.3, dim))
+            k, _, v = scaling_functions(t, dim)
             assert np.allclose(k, v**dim, rtol=1e-14)
 
     def test_negative_time_rejected(self):
