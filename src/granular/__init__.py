@@ -10,11 +10,8 @@ from .kernels import (
     make_kernel,
     isotropic_kernel,
     post_collisional,
-    pre_collisional,
-    delta_energy,
     tau_of,
     sample_sigma,
-    validate_kernel,
 )
 
 __all__ = [
@@ -23,10 +20,7 @@ __all__ = [
     "make_kernel",
     "isotropic_kernel",
     "post_collisional",
-    "pre_collisional",
-    "delta_energy",
     "tau_of",
     "sample_sigma",
-    "validate_kernel",
     "__version__",
 ]

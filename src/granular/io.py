@@ -58,10 +58,10 @@ def read_table(path):
     with open(path) as fh:
         meta = dict(tok.split("=", 1) for tok in fh.readline().lstrip("#").split() if "=" in tok)
         columns = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        data = data.reshape(0, len(columns))
-    elif data.shape[1] != len(columns):
+        lines = [line for line in fh if line.strip()]
+    # loadtxt warns on input without rows, so a table with none skips it
+    data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(columns)))
+    if data.shape[1] != len(columns):
         raise ValueError(f"{path}: rows of {data.shape[1]} values under {len(columns)} columns")
     return meta, columns, data
 

@@ -22,7 +22,7 @@ energy dissipation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,20 +31,15 @@ from .quadrature import cos_theta_quadrature, cos_theta_quadrature_segmented
 __all__ = [
     "RestitutionLaw",
     "AngularKernel",
-    "KernelReport",
     "make_kernel",
     "isotropic_kernel",
-    "kernel_cos_quadrature",
     "beta_of",
     "post_collisional",
     "pre_collisional",
     "delta_energy",
-    "delta_energy_closed",
     "inverse_sigma",
-    "angular_momentum_mb",
     "tau_of",
     "sample_sigma",
-    "validate_kernel",
 ]
 
 DEFAULT_COS_ORDER = 64
@@ -73,18 +68,14 @@ class AngularKernel:
 
     func evaluates b pointwise (vectorized), after rescaling to unit
     integral over the sphere. b0/b1 are the observed min/max on a dense
-    sample grid, mb the angular momentum, dim the velocity dimension
-    the normalization refers to.
+    sample grid, mb the angular momentum.
     """
 
     func: object
-    dim: int
     b0: float
     b1: float
     mb: float
     kind: str
-    norm_factor: float = 1.0
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, x):
         return self.func(np.asarray(x, dtype=float))
@@ -92,17 +83,6 @@ class AngularKernel:
     @property
     def is_isotropic(self):
         return self.kind == "isotropic"
-
-
-@dataclass
-class KernelReport:
-    ok: bool
-    errors: list
-    warnings: list
-    norm_residual: float
-    b0: float
-    b1: float
-    mb: float
 
 
 def _raw_kernel_func(spec):
@@ -134,22 +114,11 @@ def _raw_kernel_func(spec):
     raise ValueError(f"unknown kernel kind: {kind!r}")
 
 
-def kernel_cos_quadrature(kernel, order, dim=None):
-    """Polar-angle quadrature adapted to the kernel: composite at the
-    table breakpoints for tabulated kernels, plain Gauss-Legendre
-    otherwise."""
-    dim = kernel.dim if dim is None else dim
-    breaks = kernel.meta.get("x_breaks")
-    if breaks is not None:
-        return cos_theta_quadrature_segmented(dim, order, breaks)
-    return cos_theta_quadrature(dim, order)
-
-
 def make_kernel(spec, dim, order=DEFAULT_COS_ORDER):
     """Build a normalized AngularKernel from a config-style spec dict.
 
     The raw function is rescaled so that its integral over S^{dim-1}
-    equals one; the applied factor is kept in norm_factor.
+    equals one.
     """
     if dim < 2:
         raise ValueError("velocity dimension must be >= 2")
@@ -161,9 +130,8 @@ def make_kernel(spec, dim, order=DEFAULT_COS_ORDER):
     raw_norm = float(np.sum(w * raw(x)))
     if not math.isfinite(raw_norm) or raw_norm <= 0:
         raise ValueError("kernel does not integrate to a positive finite value")
-    factor = 1.0 / raw_norm
 
-    def func(y, _raw=raw, _f=factor):
+    def func(y, _raw=raw, _f=1.0 / raw_norm):
         return _f * _raw(y)
 
     sample = np.linspace(-1.0, 1.0, 4097)
@@ -173,13 +141,7 @@ def make_kernel(spec, dim, order=DEFAULT_COS_ORDER):
     if not math.isfinite(b1):
         raise ValueError("kernel unbounded on [-1,1]; violates the cutoff bound")
     mb = float(np.sum(w * 0.5 * (1.0 - x) * func(x)))
-    meta = {"order": order, "spec": {k: v for k, v in spec.items() if k != "func"}}
-    if x_breaks is not None:
-        meta["x_breaks"] = x_breaks
-    return AngularKernel(
-        func=func, dim=dim, b0=b0, b1=b1, mb=mb, kind=kind,
-        norm_factor=factor, meta=meta,
-    )
+    return AngularKernel(func=func, b0=b0, b1=b1, mb=mb, kind=kind)
 
 
 def isotropic_kernel(dim, order=DEFAULT_COS_ORDER):
@@ -239,21 +201,6 @@ def delta_energy(v, v_star, sigma, law):
     )
 
 
-def delta_energy_closed(v, v_star, sigma, law):
-    """Closed form -(1-e^2)/4 |u|^2 (1 - u_hat.sigma) of the energy loss.
-
-    Validated against delta_energy in the test suite; u = 0 gives 0.
-    """
-    _, u = _split(v, v_star)
-    sigma = np.asarray(sigma, dtype=float)
-    ru2 = np.sum(u * u, axis=-1)
-    udots = np.sum(u * sigma, axis=-1)
-    ru = np.sqrt(ru2)
-    # 1 - u_hat.sigma, with the u = 0 event mapping to zero loss
-    one_minus = np.where(ru > 0.0, 1.0 - udots / np.where(ru > 0.0, ru, 1.0), 0.0)
-    return -0.25 * (1.0 - law.e**2) * ru2 * one_minus
-
-
 def inverse_sigma(v, v_star, sigma, law):
     """Direction sigma' with post_collisional(pre_collisional(v, v_star,
     sigma), sigma') == (v, v_star); equals normalize((1+e) u_hat - (1-e) sigma).
@@ -267,27 +214,8 @@ def inverse_sigma(v, v_star, sigma, law):
 
 
 # ---------------------------------------------------------------------------
-# angular momentum, inelasticity, sampling
+# inelasticity, sampling
 # ---------------------------------------------------------------------------
-
-def angular_momentum_mb(kernel, dim=None, order=DEFAULT_COS_ORDER):
-    """m_b by 1-D quadrature in the polar angle, with an error estimate
-    from comparing against the doubled order. Raises if the estimate
-    stays above 1e-6 relative (tabulated kernels have kinks; closed
-    forms converge spectrally).
-    """
-    dim = kernel.dim if dim is None else dim
-    vals = []
-    for n in (order, 2 * order):
-        x, w = kernel_cos_quadrature(kernel, n, dim)
-        vals.append(float(np.sum(w * 0.5 * (1.0 - x) * kernel(x))))
-    err = abs(vals[1] - vals[0])
-    if err > 1e-6 * max(1.0, abs(vals[1])):
-        raise ArithmeticError(
-            f"m_b quadrature did not converge: estimate {vals[1]:.8g}, error {err:.2g}"
-        )
-    return vals[1]
-
 
 def tau_of(kernel, law):
     """Inelasticity coefficient tau = m_b (1 - e^2) / 4."""
@@ -334,53 +262,3 @@ def sample_sigma(rng, u_hat, kernel, max_iter=10000):
         f"(b0={kernel.b0:.3g}, b1={kernel.b1:.3g})"
     )
 
-
-def validate_kernel(kernel, dim=None, sample_points=2001):
-    """Check bounds, unit normalization, and (as a warning) the
-    monotone-convexity hypothesis of the theory.
-
-    Normalization failure and bound violations are fatal; convexity is
-    a hypothesis of the analysis, not of the simulation, so it only
-    warns. A vanishing lower bound b0 is likewise reported as a
-    warning: the kernel stays usable but the theory hypotheses fail.
-    """
-    dim = kernel.dim if dim is None else dim
-    errors, warnings = [], []
-
-    x = np.linspace(-1.0, 1.0, sample_points)
-    vals = kernel(x)
-    tol = 1e-12 * max(1.0, kernel.b1)
-    if np.any(vals < kernel.b0 - tol) or np.any(vals > kernel.b1 + tol):
-        errors.append("kernel leaves its declared [b0, b1] bounds on the sample grid")
-    if np.any(vals < 0):
-        errors.append("kernel takes negative values")
-    if kernel.b0 <= 0:
-        warnings.append("lower bound b0 = 0: cutoff hypothesis b0 > 0 violated")
-
-    norm_tol = 1e-10 if kernel.kind in ("isotropic", "power", "callable") else 1e-6
-    order = kernel.meta.get("order", DEFAULT_COS_ORDER)
-    xq, wq = kernel_cos_quadrature(kernel, 2 * order, dim)
-    norm = float(np.sum(wq * kernel(xq)))
-    norm_residual = abs(norm - 1.0)
-    if norm_residual > norm_tol:
-        errors.append(
-            f"normalization residual {norm_residual:.3g} exceeds tolerance {norm_tol:g}"
-        )
-
-    d1 = np.diff(vals)
-    d2 = np.diff(vals, 2)
-    slack = 1e-9 * max(1.0, kernel.b1)
-    if np.any(d1 < -slack):
-        warnings.append("kernel is not nondecreasing (theory hypothesis, warning only)")
-    if np.any(d2 < -slack * 4):
-        warnings.append("kernel is not convex (theory hypothesis, warning only)")
-
-    return KernelReport(
-        ok=not errors,
-        errors=errors,
-        warnings=warnings,
-        norm_residual=norm_residual,
-        b0=kernel.b0,
-        b1=kernel.b1,
-        mb=kernel.mb,
-    )

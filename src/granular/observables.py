@@ -22,7 +22,6 @@ __all__ = [
     "normalized_moments",
     "invariant_set_check",
     "exponential_moment",
-    "histogram",
     "histogram_from_speeds",
     "equal_volume_edges",
     "tail_fit",
@@ -186,16 +185,6 @@ def histogram_from_speeds(speeds, weights, dim, n_bins=64, r_max=None, frame="or
         edges=edges, density=masses / vol, counts=counts,
         mass=float(masses.sum()), dim=dim, frame=frame, time=time,
         clipped=int(np.count_nonzero(~inside)),
-    )
-
-
-def histogram(ens, n_bins=64, r_max=None):
-    """Radial mass-normalized histogram of an ensemble; the histogram
-    mass equals the ensemble mass up to out-of-range clipping."""
-    speeds = np.linalg.norm(ens.v, axis=1)
-    return histogram_from_speeds(
-        speeds, ens.weight, ens.dim, n_bins=n_bins, r_max=r_max,
-        frame=ens.frame, time=ens.time,
     )
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import tau_of
 from .quadrature import gauss_legendre, sphere_area, sphere_surface_nodes
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "q_minus",
     "q_plus_direct",
     "q_plus_carleman",
-    "q_plus_carleman_classic",
-    "weak_moment",
     "weak_moments",
     "dissipation",
     "dissipation_from_radial",
@@ -425,66 +424,6 @@ def q_plus_carleman(g, f, v, law, kernel, quad=None):
     return pref * total
 
 
-def q_plus_carleman_classic(g, f, v, law, kernel, quad=None):
-    """Classical-style variant of the hyperplane form at N = 3, where
-    the modified angular kernel coincides with b.
-
-    Kept as an internal consistency check of the geometry: the
-    scattering angle is reconstructed from the on-plane distance
-    relation 1 - 'u_hat.sigma = 8 |'v - v|^2 / ((1+e)^2 |'u|^2) instead
-    of the dot product used by q_plus_carleman.
-    """
-    if f.dim != 3:
-        raise ValueError("classic variant implemented for dimension 3 only")
-    quad = quad or QuadratureSpec()
-    dim = 3
-    v = np.asarray(v, dtype=float)
-    pref = (4.0 / (1.0 + law.e)) ** 2
-    dist_coef = 8.0 / (1.0 + law.e) ** 2
-    omega_coef = (1.0 - law.e) / (1.0 + law.e)
-
-    r_out = math.sqrt(dim) * f.extent + float(np.linalg.norm(v))
-    r_nodes, r_w = gauss_legendre(quad.radial_order, 0.0, r_out)
-    dirs, w_dir = sphere_surface_nodes(dim, quad.angular_order)
-    rr = np.repeat(r_nodes, len(dirs))
-    ww = np.repeat(r_w, len(dirs)) * np.tile(w_dir, len(r_nodes))
-    om = np.tile(dirs, (len(r_nodes), 1))
-    pv = v[None, :] + rr[:, None] * om
-    f_vals = f.interp(pv)
-    keep = f_vals != 0.0
-    rr, ww, om, pv, f_vals = rr[keep], ww[keep], om[keep], pv[keep], f_vals[keep]
-    if len(rr) == 0:
-        return 0.0
-
-    omega = v[None, :] - omega_coef * rr[:, None] * om
-    s_max = math.sqrt(dim) * g.extent + np.linalg.norm(omega, axis=1)
-    t1, t2 = _plane_basis(om)
-    rho_ref, wrho_ref = gauss_legendre(quad.hyperplane_order, 0.0, 1.0)
-    ang = 2.0 * math.pi * np.arange(quad.angular_order) / quad.angular_order
-    w_ang = 2.0 * math.pi / quad.angular_order
-    disk_x = np.outer(rho_ref, np.cos(ang)).ravel()
-    disk_y = np.outer(rho_ref, np.sin(ang)).ravel()
-    wdisk = np.outer(rho_ref * wrho_ref, np.full(len(ang), w_ang)).ravel()
-
-    total = 0.0
-    block = max(1, _CHUNK // len(disk_x))
-    for s in range(0, len(rr), block):
-        sl = slice(s, s + block)
-        off = (
-            t1[sl, None, :] * (s_max[sl, None, None] * disk_x[None, :, None])
-            + t2[sl, None, :] * (s_max[sl, None, None] * disk_y[None, :, None])
-        )
-        pvs = omega[sl, None, :] + off
-        g_vals = g.interp(pvs.reshape(-1, dim)).reshape(pvs.shape[:2])
-        upre = pv[sl, None, :] - pvs
-        ru2 = np.sum(upre * upre, axis=2)
-        cosv = np.clip(1.0 - dist_coef * rr[sl, None] ** 2 / ru2, -1.0, 1.0)
-        inner = np.sum((s_max[sl] ** 2)[:, None] * wdisk[None, :] * g_vals * kernel(cosv), axis=1)
-        total += np.sum(ww[sl] * rr[sl] * f_vals[sl] * inner)
-    # outer r^{N-1} times 1/|v-'v| leaves one power of r at N=3
-    return pref * total
-
-
 # ---------------------------------------------------------------------------
 # weak form
 # ---------------------------------------------------------------------------
@@ -529,11 +468,6 @@ def weak_moments(f, g, psis, law, kernel, quad=None):
     return [float(a) for a in acc]
 
 
-def weak_moment(f, g, psi, law, kernel, quad=None):
-    """Single-test-function wrapper around weak_moments."""
-    return weak_moments(f, g, [psi], law, kernel, quad)[0]
-
-
 # ---------------------------------------------------------------------------
 # dissipation functional
 # ---------------------------------------------------------------------------
@@ -549,7 +483,7 @@ def _pairwise_sum(nodes_a, wa, nodes_b, wb, power=3):
 
 def dissipation(f, law, kernel, g=None):
     """D(f) = tau * iint f f_star |u|^3, tau = m_b (1 - e^2)/4."""
-    tau = kernel.mb * (1.0 - law.e**2) / 4.0
+    tau = tau_of(kernel, law)
     if tau == 0.0:
         return 0.0
     g = f if g is None else g
@@ -588,7 +522,7 @@ def relative_speed_cubed_kernel(r, r_star, dim, n_angle=64):
 def dissipation_from_radial(r_centers, bin_masses, law, kernel, dim):
     """D evaluated on a radial (isotropic) histogram: bin masses at
     speeds r_centers."""
-    tau = kernel.mb * (1.0 - law.e**2) / 4.0
+    tau = tau_of(kernel, law)
     if tau == 0.0:
         return 0.0
     K = relative_speed_cubed_kernel(

@@ -13,7 +13,6 @@ transfer as |.|^k norms times V^{+-k}.
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .dsmc import FRAME_ORIGINAL, FRAME_RESCALED, ParticleEnsemble
 
@@ -59,14 +58,12 @@ def inverse_map(ens):
     return out
 
 
-def transfer_moment_series(times, values, k, direction, target_times=None):
+def transfer_moment_series(times, values, k, direction):
     """Transfer a |.|^k moment series between frames.
 
     direction "g2f": input sampled in rescaled time tau, output at
     t = exp(tau) - 1 with value * V^{-k}; "f2g" is the inverse.
-    Returns (target_times, transferred_values, source_times). With
-    target_times given, resamples by monotone cubic interpolation in
-    the source time variable and refuses to extrapolate.
+    Returns (times in the other frame, transferred values, source times).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -78,11 +75,4 @@ def transfer_moment_series(times, values, k, direction, target_times=None):
         fac = (1.0 + times) ** k
     else:
         raise ValueError("direction must be 'g2f' or 'f2g'")
-    out_vals = values * fac
-    if target_times is None:
-        return t_nat, out_vals, times
-    target_times = np.asarray(target_times, dtype=float)
-    if target_times.min() < t_nat.min() - 1e-12 or target_times.max() > t_nat.max() + 1e-12:
-        raise ValueError("target times extrapolate outside the sampled window")
-    interp = PchipInterpolator(t_nat, out_vals)
-    return target_times, interp(target_times), times
+    return t_nat, values * fac, times

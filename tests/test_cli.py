@@ -1,12 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from granular import cli
+from granular import cli, config
 from granular import io as gio
-from granular.reporting import haff_slope_check
+from granular.reporting import haff_slope_check, run_preset
 from granular.rescale import transfer_moment_series
 
 SMALL = {"numerics": {"particles": 2000, "t_final": 3.0}, "output": {"cadence": 0.25}}
@@ -104,3 +106,23 @@ def test_qcheck_runs_the_operator_check_experiment(tmp_path, capsys):
     assert report["preset"] == "operator-check" and "wall_clock_seconds" in report
     assert rc == (0 if report["all_pass"] else 1)
     assert "preset: operator-check" in capsys.readouterr().out
+
+
+def test_preset_writes_under_its_name(tmp_path, monkeypatch):
+    raw = config._PRESETS["haff-law"]()
+    raw["numerics"].update(particles=3000, t_final=12.0)
+    monkeypatch.setitem(config._PRESETS, "haff-law", lambda: json.loads(json.dumps(raw)))
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["preset", "--name", "haff-law", "--seed", "1"])
+    report = gio.read_json(tmp_path / "haff-law" / "report.json")
+    want = json.loads(json.dumps(run_preset("haff-law", "ref", seed=1)))
+    for r in (report, want):
+        del r["wall_clock_seconds"]
+    assert report == want
+    assert rc == (0 if report["all_pass"] else 1)
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    code = "import sys, granular.cli; sys.exit('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # the granular under test
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

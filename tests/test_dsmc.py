@@ -17,13 +17,18 @@ from granular.dsmc import (
     step_size,
 )
 from granular.kernels import RestitutionLaw, isotropic_kernel, tau_of
-from granular.observables import histogram, l1_distance
+from granular.observables import histogram_from_speeds, l1_distance
 from granular.rescale import forward_map
 
 
 SECTION = {"e": "physics", "dim": "physics", "rho": "physics", "particles": "numerics",
            "dt": "numerics", "t_final": "numerics", "cadence": "output",
            "snapshot_times": "output"}
+
+
+def histogram(ens, **kw):
+    """Radial histogram of an ensemble's speeds."""
+    return histogram_from_speeds(np.linalg.norm(ens.v, axis=1), ens.weight, ens.dim, **kw)
 
 
 def cfg(**kw):

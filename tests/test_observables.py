@@ -11,7 +11,6 @@ from granular.observables import (
     energy_bounds_check,
     exponential_moment,
     haff_fit,
-    histogram,
     histogram_from_speeds,
     invariant_set_check,
     l1_distance,
@@ -22,6 +21,11 @@ from granular.observables import (
     tail_fit,
 )
 from granular.quadrature import sphere_area
+
+
+def histogram(ens, **kw):
+    """Radial histogram of an ensemble's speeds."""
+    return histogram_from_speeds(np.linalg.norm(ens.v, axis=1), ens.weight, ens.dim, **kw)
 
 
 def gaussian_ens(n=50000, t=1.0, seed=0, dim=3):

@@ -99,18 +99,6 @@ class TestMomentTransfer:
         assert np.allclose(t2, t, rtol=1e-12)
         assert np.allclose(back, e, rtol=1e-12)
 
-    def test_resampling_and_extrapolation_guard(self):
-        tau = np.linspace(0, 3, 61)
-        vals = np.exp(-tau)
-        target = np.linspace(0.5, np.expm1(3.0) * 0.9, 20)
-        t, out, _ = transfer_moment_series(tau, vals, 2, "g2f", target_times=target)
-        # smooth data resampled by monotone interpolation within 1e-3
-        exact = np.exp(-np.log1p(target)) / (1.0 + target) ** 2
-        assert np.max(np.abs(out - exact) / exact) < 1e-3
-        with pytest.raises(ValueError):
-            transfer_moment_series(tau, vals, 2, "g2f",
-                                   target_times=np.array([np.expm1(3.0) * 1.1]))
-
     def test_direction_validation(self):
         with pytest.raises(ValueError):
             transfer_moment_series(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 2, "sideways")
