@@ -67,9 +67,10 @@ def read_table(path):
 
 
 def write_moments_csv(path, run_out, extra_meta=None):
-    md = run_out.metadata
-    meta = {"config_hash": (extra_meta or {}).get("config_hash", "none"),
-            **{k: md[k] for k in ("seed", "frame", "dim", "rho", "e")}}
+    md, extra = run_out.metadata, extra_meta or {}
+    meta = {"config_hash": extra.get("config_hash", "none"),
+            **{k: md[k] for k in ("seed", "frame", "dim", "rho", "e")},
+            **{k: extra[k] for k in ("tau",) if k in extra}}
     powers = sorted(run_out.speed_moments)
     columns = ["t", "mass", *(f"p{ax}" for ax in "xyzw"[: md["dim"]]), "energy",
                *(f"m{p}" for p in powers)]

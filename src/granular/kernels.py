@@ -68,7 +68,9 @@ class AngularKernel:
 
     func evaluates b pointwise (vectorized), after rescaling to unit
     integral over the sphere. b0/b1 are the observed min/max on a dense
-    sample grid, mb the angular momentum.
+    sample grid, mb the angular momentum. Calling the kernel clips its
+    argument to [-1, 1], where a computed u_hat.sigma can round past
+    +-1 and a power kernel would give nan.
     """
 
     func: object
@@ -78,7 +80,7 @@ class AngularKernel:
     kind: str
 
     def __call__(self, x):
-        return self.func(np.asarray(x, dtype=float))
+        return self.func(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
 
     @property
     def is_isotropic(self):
@@ -160,6 +162,19 @@ def _split(v, v_star):
     return mid, u
 
 
+def _norm(u):
+    """|u| over the last axis, keeping the axis. np.linalg.norm squares
+    u, which underflows below |u| ~ 1e-154; only there is u rescaled by
+    its largest component first."""
+    ru = np.linalg.norm(u, axis=-1, keepdims=True)
+    tiny = ru < 1e-150
+    if np.any(tiny):
+        big = np.max(np.abs(u), axis=-1, keepdims=True)
+        big = np.where(big > 0.0, big, 1.0)
+        ru = np.where(tiny, big * np.linalg.norm(u / big, axis=-1, keepdims=True), ru)
+    return ru
+
+
 def post_collisional(v, v_star, sigma, law):
     """Post-collisional velocities; valid for every e in [0, 1].
 
@@ -168,7 +183,7 @@ def post_collisional(v, v_star, sigma, law):
     """
     mid, u = _split(v, v_star)
     sigma = np.asarray(sigma, dtype=float)
-    ru = np.linalg.norm(u, axis=-1, keepdims=True)
+    ru = _norm(u)
     u_prime = 0.5 * (1.0 - law.e) * u + 0.5 * (1.0 + law.e) * ru * sigma
     return mid + 0.5 * u_prime, mid - 0.5 * u_prime
 
@@ -181,7 +196,7 @@ def pre_collisional(v, v_star, sigma, law):
     beta = beta_of(law)
     mid, u = _split(v, v_star)
     sigma = np.asarray(sigma, dtype=float)
-    ru = np.linalg.norm(u, axis=-1, keepdims=True)
+    ru = _norm(u)
     u_pre = (1.0 - beta) * u + beta * ru * sigma
     return mid + 0.5 * u_pre, mid - 0.5 * u_pre
 
@@ -207,7 +222,7 @@ def inverse_sigma(v, v_star, sigma, law):
     """
     _, u = _split(v, v_star)
     sigma = np.asarray(sigma, dtype=float)
-    ru = np.linalg.norm(u, axis=-1, keepdims=True)
+    ru = _norm(u)
     ru = np.where(ru > 0.0, ru, 1.0)
     s = (1.0 + law.e) * u / ru - (1.0 - law.e) * sigma
     return s / np.linalg.norm(s, axis=-1, keepdims=True)

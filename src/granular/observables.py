@@ -229,9 +229,9 @@ def tail_fit(hist, window=None, s_candidates=(1.0, 2.0), min_counts=20):
                    candidates=candidates, n_bins=n_bins)
 
 
-def haff_fit(times, energies, window):
-    """Slope of log E against log(1+t) on the window, with its standard
-    error; a power-law decay E ~ (1+t)^p fits slope p."""
+def haff_fit(times, energies, window, rate=1.0):
+    """Slope of log E against log(1 + rate t) on the window, with its
+    standard error; a power-law decay E ~ (1 + rate t)^p fits slope p."""
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
     mask = (times >= window[0]) & (times <= window[1])
@@ -239,7 +239,7 @@ def haff_fit(times, energies, window):
         raise ValueError("window holds fewer than 3 samples")
     if np.any(energies[mask] <= 0):
         raise ValueError("nonpositive energy in the fit window")
-    x = np.log1p(times[mask])
+    x = np.log1p(rate * times[mask])
     y = np.log(energies[mask])
     A = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)

@@ -5,15 +5,17 @@ must agree for smooth inputs:
 
   * direct: integral over (v_star, sigma) of 'f 'g_star / e^2 |u| b,
     with pre-collisional velocities ('v, 'v_star);
-  * weak: moments against a test function psi via the post-collisional
-    velocity v', valid for every e in [0, 1];
+  * weak: moments against psi in {1, v_i, |v|^2} via the
+    post-collisional velocity v', valid for every e in [0, 1], summed
+    over grid pairs as FFT cross-correlations on the difference grid;
   * hyperplane (Carleman-type): outer integral over 'v and inner
     integral over 'v_star on the hyperplane orthogonal to v - 'v
     through Omega(v,'v) = (2 - 1/beta) v + (1/beta - 1) 'v, with
     prefactor 2^(N-1) / (beta^(N-1) e^2). In dimension 3 this form
     stays finite at e = 0, where Omega = 2v - 'v.
 
-These evaluators are the cross-validation oracles for the particle
+The dissipation functional is the same kind of pair sum. These
+evaluators are the cross-validation oracles for the particle
 simulator; they are not meant as a production PDE solver.
 """
 
@@ -162,15 +164,16 @@ class DensityGrid:
         t = np.clip(t, 0.0, self.n - 1)
         i0 = np.minimum(t.astype(np.int64), self.n - 2)
         f = t - i0
+        base = i0 @ self._strides
         acc = np.zeros(len(p))
         for corner in range(1 << self.dim):
-            idx = np.zeros(len(p), dtype=np.int64)
-            w = np.ones(len(p))
-            for ax in range(self.dim):
-                bit = (corner >> ax) & 1
-                idx += (i0[:, ax] + bit) * self._strides[ax]
-                w *= f[:, ax] if bit else (1.0 - f[:, ax])
-            acc += w * self._flat[idx]
+            # the upper node along axis ax when bit ax is set; the weight
+            # multiplies the per-axis factors in axis order
+            bits = [(corner >> ax) & 1 for ax in range(self.dim)]
+            w = f[:, 0] if bits[0] else 1.0 - f[:, 0]
+            for ax in range(1, self.dim):
+                w = w * (f[:, ax] if bits[ax] else 1.0 - f[:, ax])
+            acc += w * self._flat[base + np.dot(bits, self._strides)]
         acc[~inside] = 0.0
         return acc[0] if single else acc
 
@@ -277,6 +280,10 @@ def q_plus_direct(g, f, v, law, kernel, quad=None):
     sigma measure breaks mass conservation for e < 1, which the
     conservation tests here would catch.
 
+    v may be a single vector or an (m, N) array of probe velocities;
+    probes are evaluated in blocks of about _CHUNK quadrature points,
+    each with the same arithmetic as a single-probe call.
+
     Rejected at e = 0, where the pair map degenerates (u' -> u/2 +
     |u| sigma/2 no longer separates pre- from post-collisional data in
     the strong sense); use the hyperplane representation in dimension 3.
@@ -286,26 +293,31 @@ def q_plus_direct(g, f, v, law, kernel, quad=None):
     quad = quad or QuadratureSpec()
     dim = f.dim
     v = np.asarray(v, dtype=float)
+    single = v.ndim == 1
+    probes = v[None, :] if single else v
 
     rmax = math.sqrt(dim) * (f.extent + g.extent)
     r_nodes, r_w = gauss_legendre(quad.radial_order, 0.0, rmax)
     uhat, w_u = sphere_surface_nodes(dim, quad.angular_order)
     sig, w_s = sphere_surface_nodes(dim, quad.angular_order)
     bmat = kernel(uhat @ sig.T)  # (Mu, Ms)
-    ws_b = bmat * w_u[:, None] * w_s[None, :]
+    ws_b = (bmat * w_u[:, None] * w_s[None, :]).ravel()
 
-    total = 0.0
-    for r, wr in zip(r_nodes, r_w):
-        u = r * uhat  # (Mu, N)
-        # w = v + (u - u')/2 with u' = (1-e)/2 u + (1+e)/2 r sigma
-        half_diff = 0.25 * (1.0 + law.e) * (u[:, None, :] - r * sig[None, :, :])
-        w_pair = v[None, None, :] + half_diff
-        vals = f.interp(w_pair.reshape(-1, dim)) * g.interp(
-            (w_pair - u[:, None, :]).reshape(-1, dim)
-        )
-        inner = np.sum(ws_b * vals.reshape(ws_b.shape))
-        total += wr * r**dim * inner  # r^{N-1} volume factor times |u| = r
-    return total
+    total = np.zeros(len(probes))
+    block = max(1, _CHUNK // ws_b.size)
+    for s in range(0, len(probes), block):
+        p = probes[s : s + block, None, None, :]
+        for r, wr in zip(r_nodes, r_w):
+            u = r * uhat  # (Mu, N)
+            # w = v + (u - u')/2 with u' = (1-e)/2 u + (1+e)/2 r sigma
+            half_diff = 0.25 * (1.0 + law.e) * (u[:, None, :] - r * sig[None, :, :])
+            w_pair = p + half_diff
+            vals = f.interp(w_pair.reshape(-1, dim)) * g.interp(
+                (w_pair - u[:, None, :]).reshape(-1, dim)
+            )
+            inner = np.sum(ws_b * vals.reshape(len(p), -1), axis=1)
+            total[s : s + block] += wr * r**dim * inner  # r^{N-1} volume factor times |u| = r
+    return total[0] if single else total
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +429,54 @@ def q_plus_carleman(g, f, v, law, kernel, quad=None):
         ru2 = np.sum(upre * upre, axis=2)
         # 'u_hat.sigma = 1 + x.'u/|'u|^2 with x = x_coef (v - 'v)
         dot = np.sum(upre * om[sl, None, :], axis=2) * rr[sl, None]  # 'u.('v - v)
-        cosv = np.clip(1.0 - x_coef * dot / ru2, -1.0, 1.0)
+        cosv = 1.0 - x_coef * dot / ru2
         kern = kernel(cosv) if dim == 3 else ru2 ** (0.5 * (3 - dim)) * kernel(cosv)
         inner = np.sum(in_w[sl] * g_vals * kern, axis=1)
         total += np.sum(ww[sl] * rr[sl] ** (dim - 2) * f_vals[sl] * inner)
     return pref * total
+
+
+# ---------------------------------------------------------------------------
+# global pair sums as correlations over the difference grid
+# ---------------------------------------------------------------------------
+
+def _require_one_grid(f, g):
+    if (f.dim, f.n, f.extent) != (g.dim, g.n, g.extent):
+        raise ValueError("f and g must be on one grid (same dim, n and extent)")
+
+
+def _grid_weights(grid):
+    return (grid.quad_weights * grid._flat).reshape(grid.values.shape)
+
+
+def _correlate(a, b):
+    """Cross-correlations c(k) = sum_j a[j + k] b[j] of an n^N array a
+    with each n^N array stacked in b (leading axes), over the (2n-1)^N
+    offsets k: real FFTs zero-padded to 2n-1 per axis, so offsets
+    0..n-1 then -(n-1)..-1 along each axis, raveled in C order."""
+    axes = tuple(range(-a.ndim, 0))
+    shape = tuple(2 * m - 1 for m in a.shape)
+    spec = np.fft.rfftn(a, s=shape, axes=axes) * np.conj(np.fft.rfftn(b, s=shape, axes=axes))
+    corr = np.fft.irfftn(spec, s=shape, axes=axes)
+    return corr.reshape(corr.shape[: corr.ndim - a.ndim] + (-1,))
+
+
+def _offsets(grid):
+    """Pair differences x_i - y_j, one row per entry of _correlate."""
+    n = grid.n
+    k = grid.h * np.concatenate((np.arange(n), np.arange(1 - n, 0)))
+    mesh = np.meshgrid(*([k] * grid.dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _angular_factors(d, sig, w_s, kernel):
+    """S0(d) = |d| sum_k w_k b(d_hat.sigma_k) and S1(d) = |d|^2 sum_k
+    w_k b(d_hat.sigma_k) sigma_k at each offset row d; both vanish at
+    d = 0."""
+    r = np.linalg.norm(d, axis=1)
+    inv_r = np.where(r > 0.0, 1.0 / np.where(r > 0.0, r, 1.0), 0.0)
+    wb = kernel((d @ sig.T) * inv_r[:, None]) * w_s  # (offsets, K)
+    return r * np.sum(wb, axis=1), (r**2)[:, None] * (wb @ sig)
 
 
 # ---------------------------------------------------------------------------
@@ -430,68 +485,73 @@ def q_plus_carleman(g, f, v, law, kernel, quad=None):
 
 def weak_moments(f, g, psis, law, kernel, quad=None):
     """Integrals of Q^+(g, f) against several test functions at once,
-    by the post-collisional weak form (valid for every e in [0, 1]).
+    by the post-collisional weak form (valid for every e in [0, 1]):
 
-    Returns a list of floats matching psis. Uses the grids' own nodes
-    and trapezoid weights for the (v, v_star) integrals and a sphere
-    rule for sigma.
+        sum_{i,j} wf_i wg_j |u| sum_k w_k b(u_hat.sigma_k) psi(v'),
+        u = x_i - y_j,  v' = y_j + (3-e)/4 u + (1+e)/4 |u| sigma_k,
+
+    with f at v = x_i and g at v_star = y_j, the grids' own nodes and
+    trapezoid weights, and a sphere rule for sigma. Returns a list of
+    floats matching psis.
+
+    f and g must be on one grid (same dim, n and extent), so every u
+    lies on the (2n-1)^N difference lattice; the sum is then a few FFT
+    cross-correlations of wf with wg, wg y_m and wg |y|^2 times
+    per-offset angular factors. That covers psi of degree <= 2 in v',
+    taken by tag: 1, v_i and |v|^2. Anything else raises ValueError.
     """
+    _require_one_grid(f, g)
     quad = quad or QuadratureSpec()
     dim = f.dim
+    comps = {f"component_{i}": i for i in range(dim)}
+    bad = [psi.tag for psi in psis if psi.tag not in ("one", "speed_squared", *comps)]
+    if bad:
+        raise ValueError(f"weak_moments takes the test functions one, component_i "
+                         f"(i < {dim}) and speed_squared; got {bad}")
     sig, w_s = sphere_surface_nodes(dim, quad.angular_order)
-    vf, wf = f.nodes, f.quad_weights * f._flat
-    vg, wg = g.nodes, g.quad_weights * g._flat
-    keep_f = wf != 0.0
-    keep_g = wg != 0.0
-    vf, wf = vf[keep_f], wf[keep_f]
-    vg, wg = vg[keep_g], wg[keep_g]
 
-    acc = np.zeros(len(psis))
-    block = max(1, _CHUNK // max(1, len(vg)))
-    for s in range(0, len(vf), block):
-        pf = vf[s : s + block]
-        pwf = wf[s : s + block]
-        u = pf[:, None, :] - vg[None, :, :]
-        ru = np.linalg.norm(u, axis=2)
-        mid = 0.5 * (pf[:, None, :] + vg[None, :, :])
-        base = pwf[:, None] * wg[None, :] * ru  # |u| kernel factor
-        inv_ru = np.where(ru > 0.0, 1.0 / np.where(ru > 0.0, ru, 1.0), 0.0)
-        for k in range(len(sig)):
-            cosv = np.sum(u * sig[k], axis=2) * inv_ru
-            bvals = kernel(cosv)
-            vprime = mid + 0.25 * (1.0 - law.e) * u + (
-                0.25 * (1.0 + law.e) * ru[:, :, None]
-            ) * sig[k]
-            wtot = base * bvals * w_s[k]
-            for j, psi in enumerate(psis):
-                acc[j] += np.sum(wtot * psi(vprime))
-    return [float(a) for a in acc]
+    wg = _grid_weights(g)
+    y = g.nodes.T.reshape((dim,) + wg.shape)
+    corr = _correlate(_grid_weights(f), np.stack([wg, *(wg * y), wg * np.sum(y * y, axis=0)]))
+    c0, cy, cyy = corr[0], corr[1 : 1 + dim].T, corr[1 + dim]
+    d = _offsets(f)
+    s0, s1 = _angular_factors(d, sig, w_s, kernel)
+
+    alpha = 0.25 * (3.0 - law.e)
+    c = 0.25 * (1.0 + law.e)
+    # pair sums of y + alpha d, the part of v' that does not depend on sigma
+    lin = cy + alpha * d * c0[:, None]
+    out = []
+    for psi in psis:
+        if psi.tag == "one":
+            val = s0 @ c0
+        elif psi.tag == "speed_squared":
+            quadratic = cyy + 2.0 * alpha * np.sum(d * cy, axis=1) + (
+                (alpha**2 + c**2) * np.sum(d * d, axis=1) * c0
+            )
+            val = s0 @ quadratic + 2.0 * c * np.sum(s1 * lin)
+        else:
+            i = comps[psi.tag]
+            val = s0 @ lin[:, i] + c * (s1[:, i] @ c0)
+        out.append(float(val))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # dissipation functional
 # ---------------------------------------------------------------------------
 
-def _pairwise_sum(nodes_a, wa, nodes_b, wb, power=3):
-    total = 0.0
-    block = max(1, _CHUNK // max(1, len(nodes_b)))
-    for s in range(0, len(nodes_a), block):
-        d = np.linalg.norm(nodes_a[s : s + block, None, :] - nodes_b[None, :, :], axis=2)
-        total += np.sum(wa[s : s + block, None] * wb[None, :] * d**power)
-    return total
-
-
 def dissipation(f, law, kernel, g=None):
-    """D(f) = tau * iint f f_star |u|^3, tau = m_b (1 - e^2)/4."""
+    """D(f) = tau * iint f f_star |u|^3, tau = m_b (1 - e^2)/4, as
+    tau * sum_d |d|^3 (wf correlated with wg)(d) over the difference
+    grid; g (default f) must be on f's grid."""
+    g = f if g is None else g
+    _require_one_grid(f, g)
     tau = tau_of(kernel, law)
     if tau == 0.0:
         return 0.0
-    g = f if g is None else g
-    wa = f.quad_weights * f._flat
-    wb = g.quad_weights * g._flat
-    ka = wa != 0.0
-    kb = wb != 0.0
-    return tau * _pairwise_sum(f.nodes[ka], wa[ka], g.nodes[kb], wb[kb])
+    c0 = _correlate(_grid_weights(f), _grid_weights(g))
+    return tau * float(np.linalg.norm(_offsets(f), axis=1) ** 3 @ c0)
 
 
 def relative_speed_cubed_kernel(r, r_star, dim, n_angle=64):

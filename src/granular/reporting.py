@@ -78,10 +78,12 @@ def simulate(cfg, out_dir):
     files into out_dir: moments.csv, one hist_t<t>.csv per snapshot
     (t_final included) and snapshot_final.json. Every histogram uses
     the r_max of the first snapshot, so all of them share one binning."""
-    dim, bins = cfg["physics"]["dim"], cfg["numerics"]["bins"]
+    phys, bins = cfg["physics"], cfg["numerics"]["bins"]
+    dim = phys["dim"]
     meta = {"config_hash": cfg.hash, "seed": cfg["seed"]}
     out, ens = run(cfg)
-    gio.write_moments_csv(os.path.join(out_dir, "moments.csv"), out, meta)
+    tau = tau_of(make_kernel(phys["kernel"], dim), RestitutionLaw(phys["e"]))
+    gio.write_moments_csv(os.path.join(out_dir, "moments.csv"), out, {**meta, "tau": tau})
     r_max = None
     for t_snap, vel in out.snapshots:
         speeds = np.linalg.norm(vel, axis=1)
@@ -165,19 +167,39 @@ def dissipation_rate_check(cfg, law, kernel, n_steps=50, bins=64):
     }
 
 
+def _haff_inverse_t0(tau, rho, energy0, dim):
+    """1/t0 of Haff's law T = T0 (1 + t/t0)^-2 under the Maxwellian
+    closure: 4 tau rho sqrt(T0) Gamma((N+3)/2) / (N Gamma(N/2)), with
+    T0 = E(0) / (rho N)."""
+    return (4.0 * tau * rho * math.sqrt(energy0 / (rho * dim)) * math.gamma(0.5 * (dim + 3))
+            / (dim * math.gamma(0.5 * dim)))
+
+
 def haff_slope_check(mom, window=(10.0, 100.0), tolerance=0.15):
     """The haff_slope check on a table from io.read_moments_csv: the
-    slope of log E against log(1+t) on the window is -2 within the
-    tolerance. A rescaled-frame series is first mapped back to the
-    original frame (c* = 1). Returns the check and the original-frame
-    (t, E) series it was fitted on."""
+    slope of log E against log(t0+t) on the window is -2 within the
+    tolerance. t0 is predicted (_haff_inverse_t0) from the header's
+    tau, rho and dim and the initial energy; only the slope is fitted.
+    A rescaled-frame series is first mapped back to the original frame
+    (c* = 1). Returns the check and the original-frame (t, E) series it
+    was fitted on."""
+    meta = mom["meta"]
+    if "tau" not in meta:
+        raise ValueError("moments.csv header has no tau=, which haff_slope needs")
     times, energy = mom["t"], mom["energy"]
-    if mom["meta"].get("frame") == FRAME_RESCALED:
+    if meta.get("frame") == FRAME_RESCALED:
         times, energy, _ = transfer_moment_series(times, energy, 2, "g2f")
-    fit = haff_fit(times, energy, tuple(window))
+    rate = _haff_inverse_t0(float(meta["tau"]), float(meta["rho"]), float(energy[0]),
+                            int(meta["dim"]))
+    fit = haff_fit(times, energy, tuple(window), rate=rate)
+    # for reference only: E^-1/2 = E0^-1/2 (1 + t/t0) is linear in t
+    mask = (times >= window[0]) & (times <= window[1])
+    lin_slope, lin_icpt = np.polyfit(times[mask], energy[mask] ** -0.5, 1)
     check = _check(
         "haff_slope", abs(fit["slope"] + 2.0) <= tolerance, fit["slope"], f"-2.0 +- {tolerance}",
-        "hafflaw", f"stderr={fit['stderr']:.3g} n={fit['n']}",
+        "hafflaw", f"stderr={fit['stderr']:.3g} n={fit['n']} 1/t0={rate:.4g} predicted "
+        f"(Maxwellian closure), {lin_slope / lin_icpt:.4g} fitted from E^-1/2 against t "
+        "(not asserted)",
     )
     return check, times, energy
 
@@ -389,7 +411,7 @@ def _run_operator_check(cfg, out_dir):
     weak_vals = weak_moments(sub, subg, psis, law, kernel, quad)
     w_nodes = sub.nodes
     w_w = sub.quad_weights
-    qd_nodes = np.array([q_plus_direct(g, f, v, law, kernel, quad) for v in w_nodes])
+    qd_nodes = q_plus_direct(g, f, w_nodes, law, kernel, quad)
     direct_vals = [
         float(np.sum(w_w * qd_nodes * psi(w_nodes))) for psi in psis
     ]
@@ -424,10 +446,10 @@ def _run_operator_check(cfg, out_dir):
     lawE = RestitutionLaw(1.0)
     m = DensityGrid.gaussian(dim, extent, npts, mass=1.0, temperature=1.0)
     null_probes = probes[:5]
-    qd = np.array([q_plus_direct(m, m, v, lawE, kernel, quad) for v in null_probes])
+    qd = q_plus_direct(m, m, null_probes, lawE, kernel, quad)
     qm = np.array([q_minus(m, m, v) for v in null_probes])
     m2 = DensityGrid(dim, extent, m.values[::2, ::2])
-    qd_coarse = np.array([q_plus_direct(m2, m2, v, lawE, kernel, quad.halved()) for v in null_probes])
+    qd_coarse = q_plus_direct(m2, m2, null_probes, lawE, kernel, quad.halved())
     est = np.abs(qd - qd_coarse)
     summary["elastic_null"] = {
         "max_rel": float(np.max(np.abs(qd - qm)) / np.max(qm)),

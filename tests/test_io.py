@@ -34,9 +34,10 @@ def run_outputs(draw):
 @given(out=run_outputs())
 def test_moments_csv_round_trip(tmp_path_factory, out):
     path = tmp_path_factory.mktemp("moments") / "moments.csv"
-    gio.write_moments_csv(path, out, {"config_hash": "abc"})
+    gio.write_moments_csv(path, out, {"config_hash": "abc", "tau": 0.045})
     back = gio.read_moments_csv(path)
     assert back["meta"]["config_hash"] == "abc"
+    assert float(back["meta"]["tau"]) == 0.045
     assert back["meta"]["frame"] == out.metadata["frame"]
     assert int(back["meta"]["dim"]) == out.metadata["dim"]
     for name, want in [("t", out.times), ("mass", out.mass), ("energy", out.energy),

@@ -194,11 +194,27 @@ class TestCollisionMapProperties:
         _close(ssp, vsp + a, scale)
 
 
+class TestTinyRelativeVelocity:
+    """|u|^2 underflows below |u| ~ 1e-154; the maps must still see u."""
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e-200, 1e-310])
+    def test_maps_keep_a_tiny_pair_apart(self, scale):
+        v, v_star = np.array([3.0, -4.0]) * scale, np.zeros(2)
+        sigma = np.array([0.0, 1.0])
+        vp, vsp = post_collisional(v, v_star, sigma, law(1.0))
+        # elastic: the pair keeps |u| = 5 scale and turns it along sigma
+        np.testing.assert_allclose(vp - vsp, 5.0 * scale * sigma, rtol=1e-12, atol=0)
+        pv, pvs = pre_collisional(v, v_star, sigma, law(1.0))
+        np.testing.assert_allclose(pv - pvs, 5.0 * scale * sigma, rtol=1e-12, atol=0)
+        s = inverse_sigma(v, v_star, sigma, law(1.0))
+        np.testing.assert_allclose(s, [0.6, -0.8], rtol=1e-12, atol=0)
+
+
 class TestPreCollisionalProperties:
     """pre_collisional with the direction from inverse_sigma undoes a
     collision, for every e > 0. Pairs with |u| < 1e-150 are left out:
-    there |u|^2 underflows inside np.linalg.norm, and every map treats
-    the pair as u = 0."""
+    the tolerances below scale with np.linalg.norm, which underflows
+    there (TestTinyRelativeVelocity covers such pairs)."""
 
     @settings(max_examples=200, deadline=None)
     @given(c=collisions(e_min=0.01))
@@ -354,6 +370,14 @@ class TestAngularKernel:
         assert math.isclose(k.b0, k.b1, rel_tol=1e-12)
         assert math.isclose(k.b1, iso.b1, rel_tol=1e-12)
         assert math.isclose(k.mb, iso.mb, rel_tol=1e-12)
+
+    def test_argument_clipped_to_unit_interval(self):
+        # a computed u_hat.sigma can round to 1 + 2e-16, where (1 - x)^0.5
+        # alone would be nan
+        k = make_kernel({"kind": "power", "exponent": -0.5}, 2)
+        vals = k(np.array([1.0 + 2e-16, -1.0 - 2e-16]))
+        assert np.all(np.isfinite(vals))
+        assert vals.tolist() == k(np.array([1.0, -1.0])).tolist()
 
     def test_power_positive_unbounded(self):
         with pytest.raises(ValueError):

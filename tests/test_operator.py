@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from granular import operator
 from granular.kernels import RestitutionLaw, isotropic_kernel, make_kernel, tau_of
 from granular.operator import (
     DensityGrid,
@@ -86,6 +89,82 @@ def q_plus_carleman_classic(g, f, v, law, kernel, quad=None):
     return pref * total
 
 
+def weak_moments_pairwise(f, g, psis, law, kernel, quad=None):
+    """Oracle for weak_moments: the O(M^2 K) loop over node pairs and
+    sphere nodes, for any test function."""
+    quad = quad or QuadratureSpec()
+    dim = f.dim
+    sig, w_s = sphere_surface_nodes(dim, quad.angular_order)
+    vf, wf = f.nodes, f.quad_weights * f._flat
+    vg, wg = g.nodes, g.quad_weights * g._flat
+    keep_f = wf != 0.0
+    keep_g = wg != 0.0
+    vf, wf = vf[keep_f], wf[keep_f]
+    vg, wg = vg[keep_g], wg[keep_g]
+
+    acc = np.zeros(len(psis))
+    block = max(1, _CHUNK // max(1, len(vg)))
+    for s in range(0, len(vf), block):
+        pf = vf[s : s + block]
+        pwf = wf[s : s + block]
+        u = pf[:, None, :] - vg[None, :, :]
+        ru = np.linalg.norm(u, axis=2)
+        mid = 0.5 * (pf[:, None, :] + vg[None, :, :])
+        base = pwf[:, None] * wg[None, :] * ru  # |u| kernel factor
+        inv_ru = np.where(ru > 0.0, 1.0 / np.where(ru > 0.0, ru, 1.0), 0.0)
+        for k in range(len(sig)):
+            cosv = np.sum(u * sig[k], axis=2) * inv_ru
+            bvals = kernel(cosv)
+            vprime = mid + 0.25 * (1.0 - law.e) * u + (
+                0.25 * (1.0 + law.e) * ru[:, :, None]
+            ) * sig[k]
+            wtot = base * bvals * w_s[k]
+            for j, psi in enumerate(psis):
+                acc[j] += np.sum(wtot * psi(vprime))
+    return [float(a) for a in acc]
+
+
+def _pairwise_sum(nodes_a, wa, nodes_b, wb, power=3):
+    total = 0.0
+    block = max(1, _CHUNK // max(1, len(nodes_b)))
+    for s in range(0, len(nodes_a), block):
+        d = np.linalg.norm(nodes_a[s : s + block, None, :] - nodes_b[None, :, :], axis=2)
+        total += np.sum(wa[s : s + block, None] * wb[None, :] * d**power)
+    return total
+
+
+def dissipation_pairwise(f, law, kernel, g=None):
+    """Oracle for dissipation: the direct O(M^2) pair sum."""
+    g = f if g is None else g
+    wa = f.quad_weights * f._flat
+    wb = g.quad_weights * g._flat
+    return tau_of(kernel, law) * _pairwise_sum(f.nodes, wa, g.nodes, wb)
+
+
+def interp_corner_by_corner(grid, pts):
+    """Oracle for DensityGrid.interp: multilinear interpolation that
+    rebuilds each corner's index and weight axis by axis. interp must
+    give the same bits, since it forms the same products in the same
+    order."""
+    pts = np.asarray(pts, dtype=float)
+    t = (pts + grid.extent) / grid.h
+    inside = np.all((t >= 0.0) & (t <= grid.n - 1), axis=1)
+    t = np.clip(t, 0.0, grid.n - 1)
+    i0 = np.minimum(t.astype(np.int64), grid.n - 2)
+    f = t - i0
+    acc = np.zeros(len(pts))
+    for corner in range(1 << grid.dim):
+        idx = np.zeros(len(pts), dtype=np.int64)
+        w = np.ones(len(pts))
+        for ax in range(grid.dim):
+            bit = (corner >> ax) & 1
+            idx += (i0[:, ax] + bit) * grid._strides[ax]
+            w *= f[:, ax] if bit else (1.0 - f[:, ax])
+        acc += w * grid._flat[idx]
+    acc[~inside] = 0.0
+    return acc
+
+
 def gaussian2(n=81, L=6.0, T=1.0, mass=1.0):
     return DensityGrid.gaussian(2, L, n, mass=mass, temperature=T)
 
@@ -112,6 +191,21 @@ class TestDensityGrid:
         g = gaussian2(n=33)
         assert g.interp(np.array([7.0, 0.0])) == 0.0
         assert g.interp(np.array([[0.0, -6.5], [100.0, 100.0]])).tolist() == [0.0, 0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_interp_matches_corner_by_corner(self, data):
+        dim = data.draw(st.sampled_from([2, 3]))
+        n = data.draw(st.integers(2, 9))
+        grid = DensityGrid.two_bump(dim, 2.0, n, [0.7] + [0.2] * (dim - 1), 0.8)
+        # each coordinate is a node (nodes and faces), or anything on and
+        # around the box (outside points included)
+        coord = st.one_of(st.sampled_from(grid.axis.tolist()),
+                          st.floats(-3.0, 3.0, allow_subnormal=False))
+        pts = np.array(data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                          min_size=1, max_size=40)))
+        assert np.array_equal(grid.interp(pts), interp_corner_by_corner(grid, pts))
+        assert grid.interp(pts[0]) == interp_corner_by_corner(grid, pts[:1])[0]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -180,6 +274,20 @@ class TestGainRepresentations:
         z = DensityGrid(2, 6.0, np.zeros((17, 17)))
         val = q_plus_direct(z, z, np.zeros(2), RestitutionLaw(0.8), isotropic_kernel(2), QUAD)
         assert val == 0.0
+
+    def test_multi_probe_is_per_probe(self, monkeypatch):
+        # 16 (u_hat, sigma) pairs per radial node: 4 probes per block, so
+        # 10 probes make two full blocks and a partial one
+        monkeypatch.setattr(operator, "_CHUNK", 64)
+        f = gaussian2(n=33)
+        g = DensityGrid.gaussian(2, 6.0, 33, mass=1.0, temperature=0.7)
+        kern = make_kernel({"kind": "callable", "func": lambda x: 1.0 + 0.8 * x}, 2)
+        quad = QuadratureSpec(8, 4, 8)
+        probes = np.random.default_rng(2).uniform(-2.5, 2.5, size=(10, 2))
+        law = RestitutionLaw(0.8)
+        got = q_plus_direct(g, f, probes, law, kern, quad)
+        want = np.array([q_plus_direct(g, f, v, law, kern, quad) for v in probes])
+        assert got.shape == (10,) and np.array_equal(got, want)
 
     def test_elastic_maxwellian_fixed_point(self):
         f = gaussian2(n=97)
@@ -350,3 +458,65 @@ class TestSpreading:
         kern = isotropic_kernel(2)
         radius, _, _ = spreading_support(RestitutionLaw(0.5), kern, QUAD, dim=2)
         assert radius >= math.sqrt(5.0) / 2.0 - 1e-9
+
+
+class TestDifferenceGridSums:
+    """weak_moments and dissipation against the direct pair loops."""
+
+    @staticmethod
+    def pair(dim, n):
+        f = DensityGrid.gaussian(dim, 4.0, n, mass=1.0, temperature=0.8,
+                                 center=[0.3] + [0.0] * (dim - 1))
+        g = DensityGrid.two_bump(dim, 4.0, n, [1.0] + [-0.4] * (dim - 1), 0.6, mass=0.7)
+        return f, g
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("e", [0.0, 0.5, 1.0])
+    # b = (1 - x)^1.5: at exponent -0.5 the slope of b is infinite at
+    # x = 1, where d_hat.sigma rounds differently in the two summation
+    # orders on aligned nodes, and the sums then differ by ~sqrt(eps)
+    @pytest.mark.parametrize("spec", [{"kind": "isotropic"}, {"kind": "power", "exponent": -1.5}],
+                             ids=["isotropic", "power"])
+    def test_weak_moments_match_pair_loop(self, dim, n, e, spec):
+        f, g = self.pair(dim, n)
+        kern = make_kernel(spec, dim)
+        quad = QuadratureSpec(8, 8 if dim == 2 else 4, 8)
+        psis = [TF.one(), *(TF.component(i) for i in range(dim)), TF.speed_squared()]
+        law = RestitutionLaw(e)
+        got = weak_moments(f, g, psis, law, kern, quad)
+        want = weak_moments_pairwise(f, g, psis, law, kern, quad)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("e", [0.0, 0.5])
+    def test_dissipation_matches_pair_sum(self, dim, n, e):
+        f, g = self.pair(dim, n)
+        kern = isotropic_kernel(dim)
+        law = RestitutionLaw(e)
+        for other in (None, g):
+            got = dissipation(f, law, kern, other)
+            assert got == pytest.approx(dissipation_pairwise(f, law, kern, other), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("other", [
+        DensityGrid.gaussian(2, 4.0, 15),
+        DensityGrid.gaussian(2, 5.0, 17),
+        DensityGrid.gaussian(3, 4.0, 17),
+    ], ids=["n", "extent", "dim"])
+    def test_mismatched_grids_rejected(self, other):
+        f = DensityGrid.gaussian(2, 4.0, 17)
+        law, kern = RestitutionLaw(0.5), isotropic_kernel(2)
+        with pytest.raises(ValueError, match="one grid"):
+            weak_moments(f, other, [TF.one()], law, kern, QUAD)
+        with pytest.raises(ValueError, match="one grid"):
+            dissipation(f, law, kern, other)
+
+    @pytest.mark.parametrize("psi", [
+        TF("cubic", lambda x: np.sum(x * x * x, axis=-1)),
+        TF.component(2),
+    ], ids=["unknown-tag", "component-out-of-range"])
+    def test_unknown_test_function_rejected(self, psi):
+        f = DensityGrid.gaussian(2, 4.0, 9)
+        with pytest.raises(ValueError, match="test functions"):
+            weak_moments(f, f, [TF.one(), psi], RestitutionLaw(0.5), isotropic_kernel(2), QUAD)

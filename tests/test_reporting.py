@@ -7,8 +7,15 @@ import pytest
 from granular import cli
 from granular import io as gio
 from granular.config import ConfigError, preset
+from granular.kernels import RestitutionLaw, isotropic_kernel, tau_of
 from granular.observables import histogram_from_speeds
-from granular.reporting import preset_config, run_preset, tail_order_one_check
+from granular.reporting import (
+    _haff_inverse_t0,
+    haff_slope_check,
+    preset_config,
+    run_preset,
+    tail_order_one_check,
+)
 
 TINY_HAFF = {"numerics.particles": 3000, "numerics.t_final": 12.0}
 
@@ -42,7 +49,41 @@ class TestPresetConfig:
         assert cfg == want and cfg.hash == want.hash
 
 
+class TestHaffSlope:
+    def test_closure_rate(self):
+        # 1/t0 = 4 tau rho sqrt(T0) Gamma(3) / (3 Gamma(3/2)) at N = 3
+        tau = tau_of(isotropic_kernel(3), RestitutionLaw(0.8))
+        assert tau == pytest.approx(0.045, rel=1e-12)
+        want = 4.0 * 0.045 * 2.0 / (3.0 * 0.5 * np.sqrt(np.pi))
+        assert _haff_inverse_t0(tau, 1.0, 3.0, 3) == pytest.approx(want, rel=1e-12)
+        assert round(want, 4) == 0.1354
+        # T0 = E0 / (rho N) enters as sqrt(T0), rho once more as a factor
+        assert _haff_inverse_t0(tau, 2.0, 24.0, 3) == pytest.approx(4.0 * want, rel=1e-12)
+
+    @pytest.mark.parametrize("tau, rho, dim, e0", [(0.045, 1.0, 3, 3.0), (0.1, 0.5, 2, 1.7)])
+    def test_closure_solution_fits_minus_two(self, tau, rho, dim, e0):
+        t = np.arange(0.0, 100.25, 0.25)
+        rate = _haff_inverse_t0(tau, rho, e0, dim)
+        mom = {"meta": {"frame": "original", "tau": repr(tau), "rho": repr(rho), "dim": str(dim)},
+               "t": t, "energy": e0 * (1.0 + rate * t) ** -2}
+        check, _, _ = haff_slope_check(mom)
+        assert check["pass"] and abs(check["value"] + 2.0) <= 1e-12
+        assert f"1/t0={rate:.4g} predicted" in check["detail"]
+        assert f"{rate:.4g} fitted" in check["detail"]
+
+    def test_needs_tau_in_the_header(self):
+        mom = {"meta": {"frame": "original", "rho": "1.0", "dim": "3"},
+               "t": np.arange(0.0, 50.0), "energy": np.ones(50)}
+        with pytest.raises(ValueError, match="tau="):
+            haff_slope_check(mom)
+
+
 class TestHaffLawRun:
+    def test_moments_header_carries_tau(self, haff_run):
+        out, _ = haff_run
+        meta = gio.read_moments_csv(os.path.join(out, "moments.csv"))["meta"]
+        assert float(meta["tau"]) == tau_of(isotropic_kernel(3), RestitutionLaw(0.8))
+
     def test_writes_one_histogram_per_snapshot(self, haff_run):
         out, _ = haff_run
         hist = gio.read_hist_csv(os.path.join(out, "hist_t12.csv"))
