@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .quadrature import sphere_area
 
@@ -112,7 +111,7 @@ def normalized_moments(m_table, a=2.0):
     if a < 2.0:
         raise ValueError("the scale parameter must satisfy a >= 2")
     return {
-        p: np.asarray(m) / math.exp(gammaln(a * p + 0.5))
+        p: np.asarray(m) / math.exp(math.lgamma(a * p + 0.5))
         for p, m in m_table.items()
     }
 
@@ -173,14 +172,15 @@ def histogram_from_speeds(speeds, weights, dim, n_bins=64, r_max=None, frame="or
         r_max = float(edges[-1])
     else:
         edges = np.linspace(0.0, r_max, n_bins + 1)
-    if not np.all(np.diff(edges) > 0.0):  # a zero-width shell has no volume to divide by
-        raise ValueError(f"histogram edges must increase strictly (r_max={r_max!r})")
+    vol = (edges[1:] ** dim - edges[:-1] ** dim) * sphere_area(dim) / dim
+    if not (np.all(np.diff(edges) > 0.0) and np.all(vol > 0.0)):  # density divides by vol
+        raise ValueError("histogram edges must increase strictly, with no shell volume "
+                         f"underflowing to 0 (r_max={r_max!r})")
     idx = np.clip(np.searchsorted(edges, speeds, side="right") - 1, 0, n_bins - 1)
     inside = speeds <= r_max
     counts = np.bincount(idx[inside], minlength=n_bins).astype(float)
     masses = np.bincount(idx[inside], weights=np.broadcast_to(weights, speeds.shape)[inside],
                          minlength=n_bins)
-    vol = (edges[1:] ** dim - edges[:-1] ** dim) * sphere_area(dim) / dim
     return VelocityHistogram(
         edges=edges, density=masses / vol, counts=counts,
         mass=float(masses.sum()), dim=dim, frame=frame, time=time,
@@ -257,7 +257,8 @@ def haff_fit(times, energies, window, rate=1.0):
 
 def energy_bounds_check(times, energies, rho, tau_diss, t_transient=3.0, slack=0.05):
     """Rescaled-frame energy bounds: sup_t E <= max(E_in, 4/(tau^2
-    rho^3)) within the slack, and inf of E after the transient > 0."""
+    rho^3)) within the slack, and inf of E after the transient > 0
+    (None, and not ok, when no time is recorded after it)."""
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
     if tau_diss <= 0:
@@ -266,7 +267,7 @@ def energy_bounds_check(times, energies, rho, tau_diss, t_transient=3.0, slack=0
     bound = max(energies[0], 4.0 / (tau_diss**2 * rho**3))
     sup_e = float(energies.max())
     late = energies[times >= t_transient]
-    inf_e = float(late.min()) if len(late) else math.nan
+    inf_e = float(late.min()) if len(late) else None
     upper_ok = sup_e <= bound * (1.0 + slack)
     lower_ok = len(late) > 0 and inf_e > 0
     report = {
@@ -300,7 +301,7 @@ def l1_distance(hist_a, hist_b):
     return float(np.sum(np.abs(hist_a.density - hist_b.density) * hist_a.shell_volumes))
 
 
-def positivity_check(hists, radius, t_star, envelope_window=None):
+def positivity_check(hists, radius, t_star):
     """Strict positivity of the radial density on |v| <= radius for all
     snapshots at t >= t_star, plus an exponential lower envelope
     a1 exp(-a2 r) fitted below the latest profile on the checked ball."""
@@ -319,7 +320,7 @@ def positivity_check(hists, radius, t_star, envelope_window=None):
         raise ValueError("no snapshots at or after t_star")
     envelope = None
     last = hists[-1]
-    mask = (last.centers <= (envelope_window or radius)) & (last.density > 0)
+    mask = (last.centers <= radius) & (last.density > 0)
     if ok and mask.sum() >= 3:
         r = last.centers[mask]
         y = np.log(last.density[mask])

@@ -298,8 +298,7 @@ def q_plus_direct(g, f, v, law, kernel, quad=None):
 
     rmax = math.sqrt(dim) * (f.extent + g.extent)
     r_nodes, r_w = gauss_legendre(quad.radial_order, 0.0, rmax)
-    uhat, w_u = sphere_surface_nodes(dim, quad.angular_order)
-    sig, w_s = sphere_surface_nodes(dim, quad.angular_order)
+    uhat, w_u = sig, w_s = sphere_surface_nodes(dim, quad.angular_order)
     bmat = kernel(uhat @ sig.T)  # (Mu, Ms)
     ws_b = (bmat * w_u[:, None] * w_s[None, :]).ravel()
 

@@ -72,11 +72,11 @@ def cos_theta_quadrature_segmented(dim, order, x_breaks):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def sphere_surface_nodes(dim, polar_order, azimuth_order=None):
+def sphere_surface_nodes(dim, polar_order):
     """Full surface nodes (M, dim) and weights (M,) for S^{dim-1}.
 
     dim=2 uses a uniform (trapezoidal, spectrally accurate) angle grid;
-    dim=3 uses Gauss-Legendre in cos(theta) times uniform azimuth.
+    dim=3 uses Gauss-Legendre in cos(theta) times 2 polar_order azimuths.
     Deterministic operator evaluation is only supported for dim in
     {2, 3}; higher dimensions raise.
     """
@@ -87,8 +87,7 @@ def sphere_surface_nodes(dim, polar_order, azimuth_order=None):
         weights = np.full(m, 2.0 * math.pi / m)
         return nodes, weights
     if dim == 3:
-        if azimuth_order is None:
-            azimuth_order = 2 * int(polar_order)
+        azimuth_order = 2 * int(polar_order)
         ct, w_ct = gauss_legendre(polar_order, -1.0, 1.0)
         st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
         phi = 2.0 * math.pi * np.arange(azimuth_order) / azimuth_order

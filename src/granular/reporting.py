@@ -21,10 +21,12 @@ from .kernels import RestitutionLaw, isotropic_kernel, make_kernel, tau_of
 from .observables import (
     energy_bounds_check,
     equal_volume_edges,
+    exponential_moment,
     haff_fit,
     histogram_from_speeds,
     invariant_set_check,
     l1_distance,
+    moments,
     normalized_moments,
     positivity_check,
     sigma_scale,
@@ -41,9 +43,11 @@ from .operator import (
     q_minus,
     q_plus_carleman,
     q_plus_direct,
+    relative_speed_cubed_kernel,
     spreading_support,
     weak_moments,
 )
+from .quadrature import gauss_legendre, sphere_area
 from .rescale import transfer_moment_series
 
 __all__ = [
@@ -148,8 +152,6 @@ def dissipation_rate_check(cfg, law, kernel, n_steps=50, bins=64):
     measured = de_sum / elapsed
     se_tally = math.sqrt(max(de_sq, 0.0)) / elapsed
     # U-statistic fluctuation of D(f_hat): 4 Var(per-particle mean)/n
-    from .operator import relative_speed_cubed_kernel
-
     K = relative_speed_cubed_kernel(h0.centers[:, None], h0.centers[None, :], ens.dim)
     masses = h0.bin_masses
     row = K @ masses  # per-speed conditional mean of |u|^3 against f
@@ -305,24 +307,26 @@ def _derive_self_similar(cfg, out_dir):
     for col in mom["columns"]:
         if col.startswith("m") and col[1:].isdigit():
             m_table[float(col[1:]) / 2.0] = mom[col]
-    from .observables import moments as obs_moments
-
-    snap_m = obs_moments(hists[-1], orders=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0))["m"]
+    snap_m = moments(hists[-1], orders=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0))["m"]
     z_series = normalized_moments(m_table, a=2.0)
     z_snap = normalized_moments({p: np.array([v]) for p, v in snap_m.items()}, a=2.0)
     t0 = 3.0
     late = times >= t0
-    x_fit = max(
-        [float(np.max(np.atleast_1d(zz)[late]) ** (1.0 / p)) for p, zz in z_series.items()]
-        + [float(zz[0] ** (1.0 / p)) for p, zz in z_snap.items() if p > 0]
-    ) * 1.5
-    inv = invariant_set_check(z_series, x_fit, times=times, t_start=t0)
-    inv_snap = invariant_set_check(z_snap, x_fit)
-    checks.append(_check(
-        "normalized_moments_bounded", inv["ok"] and inv_snap["ok"], {"x": x_fit},
-        "z_p <= x^p for t >= 3 and at the final snapshot",
-        "MM:superS", f"series orders={sorted(z_series)}, snapshot orders={sorted(z_snap)}",
-    ))
+    claim = ("z_p <= x^p for t >= 3 and at the final snapshot", "MM:superS")
+    if not np.any(late):  # the run ends inside the transient: the check fails, the report stays whole
+        checks.append(_check("normalized_moments_bounded", False, None, *claim,
+                             f"empty window: no recorded time at t >= {t0:g}"))
+    else:
+        x_fit = max(
+            [float(np.max(np.atleast_1d(zz)[late]) ** (1.0 / p)) for p, zz in z_series.items()]
+            + [float(zz[0] ** (1.0 / p)) for p, zz in z_snap.items() if p > 0]
+        ) * 1.5
+        inv = invariant_set_check(z_series, x_fit, times=times, t_start=t0)
+        inv_snap = invariant_set_check(z_snap, x_fit)
+        checks.append(_check(
+            "normalized_moments_bounded", inv["ok"] and inv_snap["ok"], {"x": x_fit}, *claim,
+            f"series orders={sorted(z_series)}, snapshot orders={sorted(z_snap)}",
+        ))
 
     law = RestitutionLaw(phys["e"])
     kernel = make_kernel(phys["kernel"], phys["dim"])
@@ -344,8 +348,6 @@ def _derive_self_similar(cfg, out_dir):
     # appearance of low-order exponential moments: stable between the
     # two late snapshots
     if len(hists) >= 2:
-        from .observables import exponential_moment
-
         sig = sigma_scale(last)
         r_exp = 1.0 / math.sqrt(sig)
         vals = [exponential_moment(h, r_exp, 0.5) for h in hists[-2:]]
@@ -415,9 +417,9 @@ def _run_operator_check(cfg, out_dir):
     direct_vals = [
         float(np.sum(w_w * qd_nodes * psi(w_nodes))) for psi in psis
     ]
-    # weak_moments integrates Q+(g, f)? keep orientation consistent:
-    # weak_moments(f_grid, g_grid, ...) pairs f at v and g at v_star,
-    # matching q_plus_direct(g, f, .) which reconstructs f's argument.
+    # both routes integrate Q+(g, f): weak_moments(f_grid, g_grid, ...)
+    # pairs f at v and g at v_star, as q_plus_direct(g, f, .) does when
+    # it reconstructs f's argument.
     summary["weak_vs_direct"] = {
         "psi": [p.tag for p in psis],
         "weak": weak_vals,
@@ -555,8 +557,6 @@ def _derive_operator_check(cfg, out_dir):
 def _weighted_l1_delta_scale(dim=3):
     """d/dT of the (1+|v|^2)-weighted L1 distance between unit-mass
     Maxwellians at temperature 1, by radial quadrature."""
-    from .quadrature import gauss_legendre, sphere_area
-
     r, w = gauss_legendre(512, 0.0, 12.0)
     pdf = (2.0 * math.pi) ** (-dim / 2.0) * np.exp(-0.5 * r * r)
     dpdf = pdf * 0.5 * (r * r - dim)

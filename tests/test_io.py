@@ -57,7 +57,7 @@ def histograms(draw):
     if draw(st.booleans()):  # uniform bins, as written by simulate
         kw["n_bins"] = draw(st.integers(8, 80))
         kw["r_max"] = draw(st.none() | st.floats(0.5, 50.0))
-        if kw["r_max"] is None and speeds.max() < 1e-300:  # too small to bin
+        if kw["r_max"] is None and speeds.max() < 1e-60:  # shell volumes r^dim would underflow
             kw["r_max"] = 1.0
     else:  # equal-volume shells, as written by the stability preset
         kw["edges"] = equal_volume_edges(draw(st.floats(0.5, 50.0)), draw(st.integers(2, 40)), dim)

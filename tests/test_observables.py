@@ -162,7 +162,8 @@ class TestHistogram:
         ([0.0, 0.0], {}),  # r_max = 0
         ([0.0, 5e-324], {}),  # r_max subnormal: linspace repeats edges
         ([0.5], {"edges": [0.0, 1.0, 1.0, 2.0]}),
-    ], ids=["zero-speeds", "subnormal-r-max", "repeated-edge"])
+        ([1e-300], {}),  # edges of about 1e-301: their squares underflow to 0
+    ], ids=["zero-speeds", "subnormal-r-max", "repeated-edge", "underflowing-volume"])
     def test_zero_width_shell_rejected(self, speeds, kw):
         with pytest.raises(ValueError, match="edges must increase strictly"):
             histogram_from_speeds(np.array(speeds), 1.0, 2, n_bins=8, **kw)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from granular.kernels import RestitutionLaw, isotropic_kernel, tau_of
 from granular.observables import histogram_from_speeds
 from granular.reporting import (
     _haff_inverse_t0,
+    emit_report,
     haff_slope_check,
     preset_config,
     run_preset,
@@ -25,6 +27,29 @@ def haff_run(tmp_path_factory):
     """A tiny haff-law run: (output directory, its report)."""
     out = tmp_path_factory.mktemp("haff")
     return out, run_preset("haff-law", str(out), seed=5, overrides=TINY_HAFF)
+
+
+@pytest.fixture(scope="module")
+def selfsim_run(tmp_path_factory):
+    """A 3,000-particle self-similar run past the t = 3 transient: (output
+    directory, its report)."""
+    out = tmp_path_factory.mktemp("selfsim")
+    return out, run_preset("self-similar", str(out), seed=3, overrides={
+        "numerics.particles": 3000, "numerics.t_final": 3.25,
+        "output.snapshot_times": [3.0, 3.25]})
+
+
+def _strict_json(path):
+    """report.json parsed with NaN and Infinity refused."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+SELF_SIMILAR_CHECKS = [
+    "profile_stationarity", "tail_order_one", "normalized_moments_bounded",
+    "rescaled_energy_upper", "rescaled_energy_lower", "exponential_moment_stable"]
 
 
 class TestPresetConfig:
@@ -109,17 +134,60 @@ class TestHaffLawRun:
         assert rc == (0 if check["pass"] else 1)
 
 
-def test_sparse_tail_window_fails_the_check_not_the_report(tmp_path):
-    report = run_preset("self-similar", str(tmp_path), seed=3, overrides={
-        "numerics.particles": 3000, "numerics.t_final": 3.25,
-        "output.snapshot_times": [3.0, 3.25]})
-    assert [c["check"] for c in report["checks"]] == [
-        "profile_stationarity", "tail_order_one", "normalized_moments_bounded",
-        "rescaled_energy_upper", "rescaled_energy_lower", "exponential_moment_stable"]
+def test_sparse_tail_window_fails_the_check_not_the_report(selfsim_run):
+    out, report = selfsim_run
+    assert [c["check"] for c in report["checks"]] == SELF_SIMILAR_CHECKS
     tail = report["checks"][1]
     assert not tail["pass"] and tail["value"] is None
     assert "usable bins" in tail["detail"]
-    assert gio.read_json(os.path.join(tmp_path, "report.json")) == json.loads(json.dumps(report))
+    assert gio.read_json(os.path.join(out, "report.json")) == json.loads(json.dumps(report))
+
+
+def test_run_inside_the_transient_fails_the_checks_not_the_report(tmp_path):
+    report = run_preset("self-similar", str(tmp_path), seed=1, overrides={
+        "numerics.particles": 3000, "numerics.t_final": 2.0,
+        "output.snapshot_times": [1.5, 2.0]})
+    checks = {c["check"]: c for c in report["checks"]}
+    assert list(checks) == SELF_SIMILAR_CHECKS
+    bounded = checks["normalized_moments_bounded"]
+    assert not bounded["pass"] and bounded["value"] is None
+    assert "empty window" in bounded["detail"] and "t >= 3" in bounded["detail"]
+    lower = checks["rescaled_energy_lower"]
+    assert not lower["pass"] and lower["value"] is None
+    assert _strict_json(os.path.join(tmp_path, "report.json")) == json.loads(json.dumps(report))
+
+
+# the run tallies that perfbench's gates and per-layer metrics read
+TALLY_COUNTS = ("collisions", "candidates", "majorant_violations", "dt_halvings", "steps")
+TALLY_FLOATS = ("acceptance", "collision_denergy", "drift_denergy")
+
+
+@pytest.mark.parametrize("run", ["haff_run", "selfsim_run"])
+def test_final_snapshot_carries_the_tallies(run, request):
+    out, _ = request.getfixturevalue(run)
+    tallies = gio.read_json(os.path.join(out, "snapshot_final.json"))["tallies"]
+    for key in TALLY_COUNTS:
+        assert type(tallies[key]) is int and tallies[key] >= 0, key
+    for key in TALLY_FLOATS:
+        assert isinstance(tallies[key], (int, float)) and math.isfinite(tallies[key]), key
+    assert tallies["collisions"] > 0 and tallies["steps"] > 0
+
+
+def test_stability_preset_structure(tmp_path):
+    # structure only: at this size the verdicts flip with the particle count
+    report = run_preset("stability", str(tmp_path), seed=1, overrides={
+        "numerics.particles": 1500, "numerics.t_final": 1.0,
+        "output.cadence": 0.25, "output.snapshot_times": [1.0]})
+    assert [c["check"] for c in report["checks"]] == [
+        "stability_no_superexponential", "positivity_two_bump"]
+    _, columns, data = gio.read_table(os.path.join(tmp_path, "stability.csv"))
+    assert columns == ["t", "weighted_l1"]
+    np.testing.assert_allclose(data[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-12)
+    for k in range(1, 6):
+        hist = gio.read_hist_csv(os.path.join(tmp_path, f"hist_pos_t{k}.csv"))
+        assert hist.time == float(k) and hist.counts.sum() + hist.clipped == 1500
+    again = emit_report(str(tmp_path))
+    assert again["checks"] == report["checks"]
 
 
 def test_cli_tail_is_the_preset_check(tmp_path):
