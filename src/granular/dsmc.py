@@ -28,6 +28,7 @@ else: `init_ensemble(cfg)` and `run(cfg)` take it as it comes out of
 `validate_config`, which has already checked every input.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,9 +36,11 @@ import numpy as np
 
 from .kernels import (
     RestitutionLaw,
+    _sumsq,
     make_kernel,
     post_collisional,
     sample_sigma,
+    uniform_sphere,
 )
 
 __all__ = [
@@ -58,6 +61,8 @@ FRAME_ORIGINAL = "original"
 FRAME_RESCALED = "rescaled"
 U_MAX_SAFETY = 4.0  # initial majorant over the sampled pairwise max speed
 REFRESH_INTERVAL = 200  # steps between majorant refreshes in run()
+
+log = logging.getLogger("granular")
 
 
 class ParticleEnsemble:
@@ -142,8 +147,7 @@ def _sample_initial(spec, n, dim, rng):
         return rng.normal(scale=math.sqrt(t), size=(n, dim))
     if kind == "uniform_ball":
         r = float(spec.get("radius", 1.0))
-        z = rng.normal(size=(n, dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = uniform_sphere(rng, n, dim)
         return r * z * rng.random(n)[:, None] ** (1.0 / dim)
     if kind == "two_bump":
         center = np.asarray(spec.get("center", [2.0] + [0.0] * (dim - 1)), dtype=float)
@@ -167,10 +171,19 @@ def _sample_initial(spec, n, dim, rng):
 
 def _pairwise_max_speed(v, rng, frac=0.01, cap=512):
     m = min(max(2, int(frac * len(v))), cap, len(v))
-    idx = rng.choice(len(v), size=m, replace=False)
-    sub = v[idx]
-    d = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
-    return float(d.max())
+    sub = v.take(rng.choice(len(v), size=m, replace=False), axis=0)
+    # squared distances summed column by column, in _sumsq's order, over
+    # blocks of 64 rows that stay in cache; sqrt is monotone, so the sqrt
+    # of the largest sum is the largest distance
+    best = 0.0
+    for lo in range(0, m, 64):
+        d2 = np.zeros((min(64, m - lo), m))
+        for c in sub.T:
+            d = c[lo:lo + 64, None] - c[None, :]
+            d *= d
+            d2 += d
+        best = max(best, d2.max())
+    return math.sqrt(best)
 
 
 def init_ensemble(cfg):
@@ -188,13 +201,17 @@ def init_ensemble(cfg):
 
 def _independent_prefix(pairs):
     """Boolean mask of pairs whose two particles do not appear in any
-    earlier pair of the batch (so they can be collided in parallel)."""
+    earlier pair of the batch (so they can be collided in parallel), or
+    None when no particle appears twice and every pair is free."""
     flat = pairs.ravel()  # interleaved i0, j0, i1, j1, ...
-    uniq, first = np.unique(flat, return_index=True)
-    firstpos = first[np.searchsorted(uniq, flat)]
-    pos = np.arange(len(flat))
-    fresh = (firstpos == pos).reshape(-1, 2)
-    return fresh[:, 0] & fresh[:, 1]
+    order = flat.argsort(kind="stable")
+    ranked = flat[order]
+    repeat = ranked[1:] == ranked[:-1]
+    if not np.count_nonzero(repeat):
+        return None
+    fresh = np.ones(len(flat), dtype=bool)
+    fresh[order[1:][repeat]] = False  # stable: a first occurrence ranks first
+    return fresh[0::2] & fresh[1::2]
 
 
 def collide_step(ens, dt, law, kernel):
@@ -222,45 +239,45 @@ def collide_step(ens, dt, law, kernel):
     i = ens.rng.integers(0, n, size=m_cand)
     j = ens.rng.integers(0, n, size=m_cand)
     clash = i == j
-    while np.any(clash):
-        j[clash] = ens.rng.integers(0, n, size=int(clash.sum()))
+    while n_clash := np.count_nonzero(clash):
+        j[clash] = ens.rng.integers(0, n, size=n_clash)
         clash = i == j
 
-    ru = scale * np.linalg.norm(w[i] - w[j], axis=1)
+    ru = scale * np.sqrt(_sumsq(w.take(i, axis=0) - w.take(j, axis=0)))
     over = ru > ens.u_max
-    if np.any(over):
-        tally.violations = int(over.sum())
+    if n_over := np.count_nonzero(over):
+        tally.violations = n_over
         ens.u_max = 1.05 * float(ru[over].max())
     accept = ens.rng.random(m_cand) * u_max_used < ru
-    pairs = np.stack([i[accept], j[accept]], axis=1)
+    pairs = np.array((i[accept], j[accept])).T
 
     de_factor = ens.weight * scale * scale
     dsumsq = 0.0
     while len(pairs):
         free = _independent_prefix(pairs)
-        batch, pairs = pairs[free], pairs[~free]
+        if free is None:
+            batch, pairs = pairs, pairs[:0]
+        else:
+            batch, pairs = pairs[free], pairs[~free]
         bi, bj = batch[:, 0], batch[:, 1]
-        wi, wj = w[bi], w[bj]
+        wi, wj = w.take(bi, axis=0), w.take(bj, axis=0)
         u = wi - wj
-        runow = np.linalg.norm(u, axis=1)
+        runow = np.sqrt(_sumsq(u))
         live = runow > 0.0
-        if not np.all(live):
+        if np.count_nonzero(live) < len(live):
             batch, bi, bj = batch[live], bi[live], bj[live]
             wi, wj, u, runow = wi[live], wj[live], u[live], runow[live]
         if len(batch) == 0:
             continue
         sigma = sample_sigma(ens.rng, u / runow[:, None], kernel)
         wp, wsp = post_collisional(wi, wj, sigma, law)
-        dw = (
-            np.sum(wp * wp, axis=1) + np.sum(wsp * wsp, axis=1)
-            - np.sum(wi * wi, axis=1) - np.sum(wj * wj, axis=1)
-        )
+        dw = _sumsq(wp) + _sumsq(wsp) - _sumsq(wi) - _sumsq(wj)
         w[bi] = wp
         w[bj] = wsp
         de = de_factor * dw
         dsumsq += float(dw.sum())
         tally.denergy += float(de.sum())
-        tally.denergy_sq += float(np.sum(de * de))
+        tally.denergy_sq += float((de * de).sum())
         tally.accepted += len(batch)
 
     if ens.sumsq is not None:
@@ -331,7 +348,7 @@ def _record(ens, rec):
     rec["mass"].append(ens.mass)
     rec["momentum"].append(ens.momentum.copy())
     rec["energy"].append(ens.energy)
-    speeds = np.linalg.norm(ens.v, axis=1)
+    speeds = np.sqrt(_sumsq(ens.v))
     for p in MOMENT_SPEED_POWERS:
         rec[f"m{p}"].append(ens.weight * float(np.sum(speeds**p)))
 
@@ -396,6 +413,8 @@ def run(cfg):
                     # the relative-speed scale drifts (cooling/heating)
                     dt = default_dt(ens) / 2.0**halvings
         _record(ens, rec)
+        log.info("t=%.6g steps=%d collisions=%d acceptance=%.4f u_max=%.6g", ens.time,
+                 steps, ens.collisions, ens.collisions / max(ens.candidates, 1), ens.u_max)
         for st in snap_times:
             if abs(ens.time - st) <= 1e-9:
                 snapshots.append((ens.time, ens.v.copy()))

@@ -162,16 +162,30 @@ def _split(v, v_star):
     return mid, u
 
 
+def _sumsq(x):
+    """Sum of x**2 over the last axis (of length N >= 2), adding the
+    squared components left to right. numpy reduces so short an axis in
+    the same order, so this equals np.sum(x * x, axis=-1) bit for bit
+    and its square root equals np.linalg.norm(x, axis=-1); it skips
+    their reduction set-up, which dominates on the short arrays of one
+    DSMC step."""
+    sq = x * x
+    s = sq[..., 0] + sq[..., 1]
+    for k in range(2, x.shape[-1]):
+        s += sq[..., k]
+    return s
+
+
 def _norm(u):
-    """|u| over the last axis, keeping the axis. np.linalg.norm squares
-    u, which underflows below |u| ~ 1e-154; only there is u rescaled by
-    its largest component first."""
-    ru = np.linalg.norm(u, axis=-1, keepdims=True)
+    """|u| over the last axis, keeping the axis. Squaring u underflows
+    below |u| ~ 1e-154; only there is u rescaled by its largest
+    component first."""
+    ru = np.sqrt(_sumsq(u))[..., None]
     tiny = ru < 1e-150
-    if np.any(tiny):
+    if np.count_nonzero(tiny):
         big = np.max(np.abs(u), axis=-1, keepdims=True)
         big = np.where(big > 0.0, big, 1.0)
-        ru = np.where(tiny, big * np.linalg.norm(u / big, axis=-1, keepdims=True), ru)
+        ru = np.where(tiny, big * np.sqrt(_sumsq(u / big))[..., None], ru)
     return ru
 
 
@@ -184,8 +198,8 @@ def post_collisional(v, v_star, sigma, law):
     mid, u = _split(v, v_star)
     sigma = np.asarray(sigma, dtype=float)
     ru = _norm(u)
-    u_prime = 0.5 * (1.0 - law.e) * u + 0.5 * (1.0 + law.e) * ru * sigma
-    return mid + 0.5 * u_prime, mid - 0.5 * u_prime
+    half = 0.5 * (0.5 * (1.0 - law.e) * u + 0.5 * (1.0 + law.e) * ru * sigma)  # u'/2
+    return mid + half, mid - half
 
 
 def pre_collisional(v, v_star, sigma, law):
@@ -239,13 +253,13 @@ def tau_of(kernel, law):
 
 def uniform_sphere(rng, n, dim):
     z = rng.normal(size=(n, dim))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    norms = np.sqrt(_sumsq(z))
     # resample the (measure-zero) degenerate rows
-    while np.any(norms == 0.0):
-        bad = norms[:, 0] == 0.0
+    while np.count_nonzero(norms) < n:
+        bad = norms == 0.0
         z[bad] = rng.normal(size=(int(bad.sum()), dim))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return z / norms
+        norms = np.sqrt(_sumsq(z))
+    return z / norms[:, None]
 
 
 def sample_sigma(rng, u_hat, kernel, max_iter=10000):
@@ -259,11 +273,11 @@ def sample_sigma(rng, u_hat, kernel, max_iter=10000):
     single = u_hat.ndim == 1
     uh = u_hat[None, :] if single else u_hat
     m, dim = uh.shape
+    if kernel.is_isotropic:
+        out = uniform_sphere(rng, m, dim)
+        return out[0] if single else out
     out = np.empty_like(uh)
     pending = np.arange(m)
-    if kernel.is_isotropic:
-        out[:] = uniform_sphere(rng, m, dim)
-        return out[0] if single else out
     for _ in range(max_iter):
         cand = uniform_sphere(rng, len(pending), dim)
         cosv = np.sum(uh[pending] * cand, axis=1)

@@ -1,13 +1,17 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from granular import dsmc
 from granular.config import validate_config
 from granular.dsmc import (
     FRAME_ORIGINAL,
     FRAME_RESCALED,
+    REFRESH_INTERVAL,
     U_MAX_SAFETY,
+    CollisionTally,
     advance,
     collide_step,
     default_dt,
@@ -16,7 +20,13 @@ from granular.dsmc import (
     run,
     step_size,
 )
-from granular.kernels import RestitutionLaw, isotropic_kernel, tau_of
+from granular.kernels import (
+    RestitutionLaw,
+    isotropic_kernel,
+    post_collisional,
+    sample_sigma,
+    tau_of,
+)
 from granular.observables import histogram_from_speeds, l1_distance
 from granular.rescale import forward_map
 
@@ -68,6 +78,16 @@ class TestInit:
     def test_mass(self):
         ens = init_ensemble(cfg(rho=2.5))
         assert math.isclose(ens.mass, 2.5, rel_tol=1e-12)
+
+    def test_uniform_ball_draws_as_before(self):
+        # uniform_ball takes its directions from kernels.uniform_sphere,
+        # which makes the same draws as the normalized Gaussian it replaced
+        got = dsmc._sample_initial({"kind": "uniform_ball", "radius": 2.0}, 1000, 3,
+                                   np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(1000, 3))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        assert np.array_equal(got, 2.0 * z * rng.random(1000)[:, None] ** (1.0 / 3.0))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -259,6 +279,15 @@ class TestRunDriver:
         times = [t for t, _ in out.snapshots]
         assert np.allclose(times, [0.1, 0.2], atol=1e-9)
 
+    def test_progress_logged_at_each_output_time(self, caplog):
+        assert logging.getLogger("granular").handlers == []  # silent unless configured
+        with caplog.at_level(logging.INFO, logger="granular"):
+            out, ens = run(cfg(t_final=0.3, cadence=0.1))
+        lines = [r.getMessage() for r in caplog.records if r.name == "granular"]
+        assert len(lines) == len(out.times) - 1
+        assert lines[-1].startswith("t=0.3 ")
+        assert f"steps={out.tallies['steps']} collisions={ens.collisions} " in lines[-1]
+
 
 class TestFrameConsistency:
     def test_forward_map_matches_rescaled_run(self):
@@ -291,3 +320,181 @@ class TestFrameConsistency:
         late1 = out1.energy[out1.times >= 3.0].mean()
         late2 = out2.energy[out2.times >= 3.0].mean()
         assert abs(late1 - late2) / late1 < 0.08
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the step, batching, majorant refresh and recording as they were
+# before their gathers, norms and temporaries were made cheaper. The engine
+# must reproduce them bit for bit from the same random stream.
+# ---------------------------------------------------------------------------
+
+def _oracle_independent_prefix(pairs):
+    flat = pairs.ravel()  # interleaved i0, j0, i1, j1, ...
+    uniq, first = np.unique(flat, return_index=True)
+    firstpos = first[np.searchsorted(uniq, flat)]
+    pos = np.arange(len(flat))
+    fresh = (firstpos == pos).reshape(-1, 2)
+    return fresh[:, 0] & fresh[:, 1]
+
+
+def _oracle_pairwise_max_speed(v, rng, frac=0.01, cap=512):
+    m = min(max(2, int(frac * len(v))), cap, len(v))
+    idx = rng.choice(len(v), size=m, replace=False)
+    sub = v[idx]
+    d = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
+    return float(d.max())
+
+
+def _oracle_collide_step(ens, dt, law, kernel):
+    n = ens.n
+    rho = ens.mass
+    tally = CollisionTally()
+    expected = 0.5 * n * rho * ens.u_max * dt
+    m_cand = int(expected) + (1 if ens.rng.random() < expected - int(expected) else 0)
+    tally.candidates = m_cand
+    if m_cand == 0:
+        return tally
+    u_max_used = ens.u_max
+    w, scale = ens.w, ens.scale
+
+    i = ens.rng.integers(0, n, size=m_cand)
+    j = ens.rng.integers(0, n, size=m_cand)
+    clash = i == j
+    while np.any(clash):
+        j[clash] = ens.rng.integers(0, n, size=int(clash.sum()))
+        clash = i == j
+
+    ru = scale * np.linalg.norm(w[i] - w[j], axis=1)
+    over = ru > ens.u_max
+    if np.any(over):
+        tally.violations = int(over.sum())
+        ens.u_max = 1.05 * float(ru[over].max())
+    accept = ens.rng.random(m_cand) * u_max_used < ru
+    pairs = np.stack([i[accept], j[accept]], axis=1)
+
+    de_factor = ens.weight * scale * scale
+    dsumsq = 0.0
+    while len(pairs):
+        free = _oracle_independent_prefix(pairs)
+        batch, pairs = pairs[free], pairs[~free]
+        bi, bj = batch[:, 0], batch[:, 1]
+        wi, wj = w[bi], w[bj]
+        u = wi - wj
+        runow = np.linalg.norm(u, axis=1)
+        live = runow > 0.0
+        if not np.all(live):
+            batch, bi, bj = batch[live], bi[live], bj[live]
+            wi, wj, u, runow = wi[live], wj[live], u[live], runow[live]
+        if len(batch) == 0:
+            continue
+        sigma = sample_sigma(ens.rng, u / runow[:, None], kernel)
+        wp, wsp = post_collisional(wi, wj, sigma, law)
+        dw = (
+            np.sum(wp * wp, axis=1) + np.sum(wsp * wsp, axis=1)
+            - np.sum(wi * wi, axis=1) - np.sum(wj * wj, axis=1)
+        )
+        w[bi] = wp
+        w[bj] = wsp
+        de = de_factor * dw
+        dsumsq += float(dw.sum())
+        tally.denergy += float(de.sum())
+        tally.denergy_sq += float(np.sum(de * de))
+        tally.accepted += len(batch)
+
+    if ens.sumsq is not None:
+        ens.sumsq += dsumsq
+    ens.collisions += tally.accepted
+    ens.candidates += tally.candidates
+    ens.majorant_violations += tally.violations
+    ens.collision_denergy += tally.denergy
+    return tally
+
+
+def _oracle_record(ens, rec):
+    rec["times"].append(ens.time)
+    rec["mass"].append(ens.mass)
+    rec["momentum"].append(ens.momentum.copy())
+    rec["energy"].append(ens.energy)
+    speeds = np.linalg.norm(ens.v, axis=1)
+    for p in dsmc.MOMENT_SPEED_POWERS:
+        rec[f"m{p}"].append(ens.weight * float(np.sum(speeds**p)))
+
+
+def _oracle_advance(ens, dt, law, kernel):
+    if ens.frame == FRAME_RESCALED:
+        drift_rescale_step(ens, 0.5 * dt)
+        tally = _oracle_collide_step(ens, dt, law, kernel)
+        drift_rescale_step(ens, 0.5 * dt)
+    else:
+        tally = _oracle_collide_step(ens, dt, law, kernel)
+    ens.time += dt
+    return tally
+
+
+class TestOracles:
+    @pytest.mark.parametrize("frame", [FRAME_ORIGINAL, FRAME_RESCALED])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_step_matches_oracle(self, dim, frame, monkeypatch):
+        config = cfg(dim=dim, frame=frame, particles=300, seed=17)
+        new, old = init_ensemble(config), init_ensemble(config)
+        for ens in (new, old):
+            ens.u_max *= 0.3 / U_MAX_SAFETY  # so the majorant-violation branch runs
+        law, kern = RestitutionLaw(0.8), isotropic_kernel(dim)
+        masks = []
+        prefix = dsmc._independent_prefix
+        monkeypatch.setattr(dsmc, "_independent_prefix",
+                            lambda pairs: masks.append(prefix(pairs)) or masks[-1])
+        dt = 0.02  # a few accepted pairs among 300 particles; tau stays below 1.2
+        for _ in range(60):
+            assert advance(new, dt, law, kern) == _oracle_advance(old, dt, law, kern)
+        assert np.array_equal(new.w, old.w)
+        assert (new.scale, new.u_max, new.collision_denergy, new.drift_denergy) \
+            == (old.scale, old.u_max, old.collision_denergy, old.drift_denergy)
+        assert (new.collisions, new.candidates, new.majorant_violations) \
+            == (old.collisions, old.candidates, old.majorant_violations)
+        assert new.majorant_violations > 0
+        assert any(m is not None for m in masks)  # some steps split into batches
+        assert (new.scale != 1.0) == (frame == FRAME_RESCALED)  # scale left pending
+
+    def test_independent_prefix_matches_oracle(self):
+        rng = np.random.default_rng(3)
+        split = 0
+        for n in (3, 10, 1000):
+            for m in (1, 2, 5, 40):
+                i = rng.integers(0, n, size=m)
+                pairs = np.stack([i, (i + rng.integers(1, n, size=m)) % n], axis=1)
+                ref = _oracle_independent_prefix(pairs)
+                got = dsmc._independent_prefix(pairs)
+                if got is None:
+                    assert ref.all()
+                else:
+                    split += 1
+                    assert np.array_equal(got, ref)
+        assert split > 0
+
+    @pytest.mark.parametrize("n", [300, 30000, 60000])  # m = 3, 300 and the cap 512
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_refresh_matches_oracle(self, n, dim):
+        v = np.random.default_rng(dim).normal(size=(n, dim))
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        assert dsmc._pairwise_max_speed(v, a) == _oracle_pairwise_max_speed(v, b)
+        assert a.random() == b.random()  # the same draws were consumed
+
+    @pytest.mark.parametrize("frame", [FRAME_ORIGINAL, FRAME_RESCALED])
+    def test_run_matches_oracle(self, frame, monkeypatch):
+        config = cfg(frame=frame, particles=2000, t_final=0.3, cadence=0.1, seed=23,
+                     snapshot_times=[0.2])
+        new, ens_new = run(config)
+        monkeypatch.setattr(dsmc, "collide_step", _oracle_collide_step)
+        monkeypatch.setattr(dsmc, "_pairwise_max_speed", _oracle_pairwise_max_speed)
+        monkeypatch.setattr(dsmc, "_record", _oracle_record)
+        old, ens_old = run(config)
+        assert new.tallies["steps"] > REFRESH_INTERVAL  # the majorant was refreshed
+        assert new.tallies == old.tallies
+        for field in ("times", "mass", "momentum", "energy"):
+            assert np.array_equal(getattr(new, field), getattr(old, field))
+        for p in new.speed_moments:
+            assert np.array_equal(new.speed_moments[p], old.speed_moments[p])
+        assert len(new.snapshots) == len(old.snapshots) == 2
+        for (ta, va), (tb, vb) in zip(new.snapshots, old.snapshots):
+            assert ta == tb and np.array_equal(va, vb)

@@ -10,6 +10,8 @@ from scipy.stats import kstest
 from granular.kernels import (
     DEFAULT_COS_ORDER,
     RestitutionLaw,
+    _norm,
+    _sumsq,
     beta_of,
     delta_energy,
     inverse_sigma,
@@ -208,6 +210,44 @@ class TestTinyRelativeVelocity:
         np.testing.assert_allclose(pv - pvs, 5.0 * scale * sigma, rtol=1e-12, atol=0)
         s = inverse_sigma(v, v_star, sigma, law(1.0))
         np.testing.assert_allclose(s, [0.6, -0.8], rtol=1e-12, atol=0)
+
+
+def _oracle_norm(u):
+    """kernels._norm as it was written with np.linalg.norm."""
+    ru = np.linalg.norm(u, axis=-1, keepdims=True)
+    tiny = ru < 1e-150
+    if np.any(tiny):
+        big = np.max(np.abs(u), axis=-1, keepdims=True)
+        big = np.where(big > 0.0, big, 1.0)
+        ru = np.where(tiny, big * np.linalg.norm(u / big, axis=-1, keepdims=True), ru)
+    return ru
+
+
+@st.composite
+def row_arrays(draw):
+    """(rows, N) arrays, N in 2..4, with entries from 1e-160 (where |u|^2
+    underflows and _norm must rescale) up to 1e150."""
+    dim = draw(st.integers(2, 4))
+    rows = draw(st.integers(1, 6))
+    mant = draw(arrays(float, (rows, dim), elements=st.floats(-10.0, 10.0)))
+    expo = draw(arrays(float, (rows, 1), elements=st.sampled_from(
+        [-160.0, -155.0, -152.0, -150.0, -10.0, 0.0, 10.0, 150.0])))
+    return mant * 10.0**expo
+
+
+class TestRowSumOfSquares:
+    """_sumsq is the one row reduction of the DSMC step; it must equal the
+    numpy reductions it replaced bit for bit, so the step's floats do not
+    move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=row_arrays())
+    def test_equals_numpy_reductions(self, x):
+        s = _sumsq(x)
+        assert np.array_equal(s, np.sum(x * x, axis=1))
+        assert np.array_equal(np.sqrt(s), np.linalg.norm(x, axis=1))
+        assert np.array_equal(_norm(x), _oracle_norm(x))
+        assert np.array_equal(_norm(x[0]), _oracle_norm(x[0]))  # single vectors too
 
 
 class TestPreCollisionalProperties:
