@@ -23,6 +23,11 @@ colliding w and scaling by s gives the same velocities as colliding v;
 only the relative speed (acceptance, majorant) is multiplied by s and
 the energy increment by s^2. In the original frame s stays 1.
 
+Every caller steps an ensemble through `advance_to`, the one place that
+holds the step policy: steps of `ens.dt` (the last cut to land on t), dt
+halved when over half of a step's candidates collide, and a majorant
+refresh every `REFRESH_INTERVAL` steps that also recomputes a default dt.
+
 The engine reads the validated `config.ExperimentConfig` and nothing
 else: `init_ensemble(cfg)` and `run(cfg)` take it as it comes out of
 `validate_config`, which has already checked every input.
@@ -52,7 +57,7 @@ __all__ = [
     "collide_step",
     "drift_rescale_step",
     "advance",
-    "step_size",
+    "advance_to",
     "run",
     "RunOutput",
 ]
@@ -60,7 +65,7 @@ __all__ = [
 FRAME_ORIGINAL = "original"
 FRAME_RESCALED = "rescaled"
 U_MAX_SAFETY = 4.0  # initial majorant over the sampled pairwise max speed
-REFRESH_INTERVAL = 200  # steps between majorant refreshes in run()
+REFRESH_INTERVAL = 200  # steps between majorant refreshes in advance_to()
 
 log = logging.getLogger("granular")
 
@@ -76,10 +81,11 @@ class ParticleEnsemble:
     writes through it (`ens.v *= c`, `ens.v[i] = ...`) stick. `sumsq`
     is the running sum |w|^2 behind the drift's energy ledger; it is
     dropped on every read of `v` (the caller may write to the array)
-    and recomputed at the next drift.
+    and recomputed at the next drift. `dt`, `steps` and `dt_halvings`
+    are the step state of advance_to; dt=None means default_dt.
     """
 
-    def __init__(self, velocities, weight, frame, rng, u_max, time=0.0):
+    def __init__(self, velocities, weight, frame, rng, u_max, time=0.0, dt=None):
         self.w = np.asarray(velocities, dtype=float)
         if self.w.ndim != 2 or len(self.w) < 2:
             raise ValueError("need an (n, dim) velocity array with n >= 2")
@@ -94,7 +100,12 @@ class ParticleEnsemble:
         self.candidates = 0
         self.majorant_violations = 0
         self.collision_denergy = 0.0  # cumulative tallies for the ledger
+        self.collision_denergy_sq = 0.0
         self.drift_denergy = 0.0
+        self.dt_default = dt is None
+        self.dt = default_dt(self) if dt is None else dt
+        self.steps = 0
+        self.dt_halvings = 0
 
     @property
     def v(self):
@@ -188,15 +199,15 @@ def _pairwise_max_speed(v, rng, frac=0.01, cap=512):
 
 def init_ensemble(cfg):
     """Sample the initial condition of a validated config, center
-    momentum exactly, set the particle weight for total mass rho, and
-    seed the relative-speed majorant from a subsample."""
+    momentum exactly, set the weight for total mass rho, seed the
+    majorant from a subsample and the step from numerics.dt."""
     phys = cfg["physics"]
     rng = np.random.default_rng(cfg["seed"])
     v = _sample_initial(cfg["initial"], cfg["numerics"]["particles"], phys["dim"], rng)
     v = v - v.mean(axis=0, keepdims=True)  # zero momentum exactly
     weight = phys["rho"] / len(v)
     u_max = U_MAX_SAFETY * max(_pairwise_max_speed(v, rng), 1e-12)
-    return ParticleEnsemble(v, weight, cfg["frame"], rng, u_max)
+    return ParticleEnsemble(v, weight, cfg["frame"], rng, u_max, dt=cfg["numerics"]["dt"])
 
 
 def _independent_prefix(pairs):
@@ -286,6 +297,7 @@ def collide_step(ens, dt, law, kernel):
     ens.candidates += tally.candidates
     ens.majorant_violations += tally.violations
     ens.collision_denergy += tally.denergy
+    ens.collision_denergy_sq += tally.denergy_sq
     return tally
 
 
@@ -324,6 +336,28 @@ def advance(ens, dt, law, kernel):
     return tally
 
 
+def default_dt(ens):
+    return 0.01 / (ens.mass * ens.u_max)
+
+
+def advance_to(ens, t, law, kernel):
+    """Step ens until its time reaches t, under the step policy the
+    module docstring describes."""
+    while ens.time < t - 1e-12:
+        tally = advance(ens, min(ens.dt, t - ens.time), law, kernel)
+        ens.steps += 1
+        if tally.candidates > 50 and tally.accepted > 0.5 * tally.candidates:
+            ens.dt *= 0.5
+            ens.dt_halvings += 1
+        if ens.steps % REFRESH_INTERVAL == 0:
+            est = _pairwise_max_speed(ens.v, ens.rng)
+            ens.u_max = min(ens.u_max, max(2.0 * est, 1e-12))
+            if ens.dt_default:
+                # keep the per-step collision probability fixed as the
+                # relative-speed scale drifts (cooling/heating)
+                ens.dt = default_dt(ens) / 2.0**ens.dt_halvings
+
+
 # ---------------------------------------------------------------------------
 # run driver
 # ---------------------------------------------------------------------------
@@ -353,29 +387,17 @@ def _record(ens, rec):
         rec[f"m{p}"].append(ens.weight * float(np.sum(speeds**p)))
 
 
-def default_dt(ens):
-    return 0.01 / (ens.mass * ens.u_max)
-
-
-def step_size(cfg, ens):
-    """numerics.dt, or default_dt(ens) when it is null."""
-    dt = cfg["numerics"]["dt"]
-    return default_dt(ens) if dt is None else dt
-
-
 def run(cfg):
     """Deterministic (validated config, seed) -> observables driver.
 
     Records mass/momentum/energy/|v|^k moments at the configured
-    cadence, keeps velocity snapshots at snapshot_times and t_final,
-    and refreshes the majorant periodically from a subsample.
+    cadence and keeps velocity snapshots at snapshot_times and t_final;
+    advance_to, which holds the step policy, steps between output times.
     """
     phys, num, out = cfg["physics"], cfg["numerics"], cfg["output"]
     law = RestitutionLaw(phys["e"])
     kernel = make_kernel(phys["kernel"], phys["dim"])
     ens = init_ensemble(cfg)
-    auto_dt = num["dt"] is None
-    dt = step_size(cfg, ens)
     t_final, cadence = num["t_final"], out["cadence"]
 
     rec = {"times": [], "mass": [], "momentum": [], "energy": []}
@@ -393,28 +415,11 @@ def run(cfg):
     keep[1:] = np.diff(out_times) > 1e-9
     out_times = out_times[keep]
 
-    halvings = 0
-    steps = 0
-    next_refresh = REFRESH_INTERVAL
     for t_out in out_times:
-        while ens.time < t_out - 1e-12:
-            step = min(dt, t_out - ens.time)
-            tally = advance(ens, step, law, kernel)
-            steps += 1
-            if tally.candidates > 50 and tally.accepted > 0.5 * tally.candidates:
-                dt *= 0.5
-                halvings += 1
-            if steps >= next_refresh:
-                next_refresh += REFRESH_INTERVAL
-                est = _pairwise_max_speed(ens.v, ens.rng)
-                ens.u_max = min(ens.u_max, max(2.0 * est, 1e-12))
-                if auto_dt:
-                    # keep the per-step collision probability fixed as
-                    # the relative-speed scale drifts (cooling/heating)
-                    dt = default_dt(ens) / 2.0**halvings
+        advance_to(ens, t_out, law, kernel)
         _record(ens, rec)
         log.info("t=%.6g steps=%d collisions=%d acceptance=%.4f u_max=%.6g", ens.time,
-                 steps, ens.collisions, ens.collisions / max(ens.candidates, 1), ens.u_max)
+                 ens.steps, ens.collisions, ens.collisions / max(ens.candidates, 1), ens.u_max)
         for st in snap_times:
             if abs(ens.time - st) <= 1e-9:
                 snapshots.append((ens.time, ens.v.copy()))
@@ -427,10 +432,10 @@ def run(cfg):
         "majorant_violations": ens.majorant_violations,
         "collision_denergy": ens.collision_denergy,
         "drift_denergy": ens.drift_denergy,
-        "dt_final": dt,
-        "dt_halvings": halvings,
+        "dt_final": ens.dt,
+        "dt_halvings": ens.dt_halvings,
         "u_max_final": ens.u_max,
-        "steps": steps,
+        "steps": ens.steps,
     }
     metadata = {
         "seed": cfg["seed"],

@@ -108,49 +108,41 @@ def simulate(cfg, out_dir):
 
 def _run_haff_law(cfg, out_dir):
     simulate(cfg, out_dir)
-
-    # short companion run for the dissipation-identity check: measured
-    # dE/dt over the first 50 steps against the quadrature of D on the
-    # initial histogram
-    phys = cfg["physics"]
-    law = RestitutionLaw(phys["e"])
-    kernel = make_kernel(phys["kernel"], phys["dim"])
-    diss = dissipation_rate_check(cfg, law, kernel, n_steps=50)
-    gio.write_json(os.path.join(out_dir, "dissipation.json"), diss)
+    gio.write_json(os.path.join(out_dir, "dissipation.json"), dissipation_rate_check(cfg))
 
 
-def dissipation_rate_check(cfg, law, kernel, n_steps=50, bins=64):
-    """Collision-tally energy rate over n_steps vs -D on the histogram.
+DISSIPATION_STEPS = 50  # steps of the dissipation companion run
+DISSIPATION_BINS = 64  # bins of its two histograms
+
+
+def dissipation_rate_check(cfg):
+    """Short companion run for the dissipation identity: the measured
+    collision-tally energy rate over the first DISSIPATION_STEPS steps
+    vs -D on the histograms at both ends.
 
     Returns raw numbers; thresholds are applied at report time. The
     tally standard error comes from the per-pair increment variance,
     the histogram-side error from the U-statistic asymptotics.
     """
-    from .dsmc import collide_step, init_ensemble, step_size
+    from .dsmc import advance_to, init_ensemble
 
+    phys = cfg["physics"]
+    law = RestitutionLaw(phys["e"])
+    kernel = make_kernel(phys["kernel"], phys["dim"])
     ens = init_ensemble(cfg)
-    dt = step_size(cfg, ens)
     speeds0 = np.linalg.norm(ens.v, axis=1)
-    h0 = histogram_from_speeds(speeds0, ens.weight, ens.dim, n_bins=bins,
+    h0 = histogram_from_speeds(speeds0, ens.weight, ens.dim, n_bins=DISSIPATION_BINS,
                                frame=ens.frame, time=0.0)
-    de_sum = 0.0
-    de_sq = 0.0
-    n_events = 0
-    for _ in range(n_steps):
-        tally = collide_step(ens, dt, law, kernel)
-        ens.time += dt
-        de_sum += tally.denergy
-        de_sq += tally.denergy_sq
-        n_events += tally.accepted
-    elapsed = n_steps * dt
+    elapsed = DISSIPATION_STEPS * ens.dt
+    advance_to(ens, elapsed, law, kernel)
     speeds1 = np.linalg.norm(ens.v, axis=1)
-    h1 = histogram_from_speeds(speeds1, ens.weight, ens.dim, n_bins=bins,
+    h1 = histogram_from_speeds(speeds1, ens.weight, ens.dim, n_bins=DISSIPATION_BINS,
                                frame=ens.frame, time=ens.time)
     d0 = dissipation_from_radial(h0.centers, h0.bin_masses, law, kernel, ens.dim)
     d1 = dissipation_from_radial(h1.centers, h1.bin_masses, law, kernel, ens.dim)
     predicted = -0.5 * (d0 + d1)
-    measured = de_sum / elapsed
-    se_tally = math.sqrt(max(de_sq, 0.0)) / elapsed
+    measured = ens.collision_denergy / elapsed
+    se_tally = math.sqrt(max(ens.collision_denergy_sq, 0.0)) / elapsed
     # U-statistic fluctuation of D(f_hat): 4 Var(per-particle mean)/n
     K = relative_speed_cubed_kernel(h0.centers[:, None], h0.centers[None, :], ens.dim)
     masses = h0.bin_masses
@@ -163,9 +155,9 @@ def dissipation_rate_check(cfg, law, kernel, n_steps=50, bins=64):
         "measured_rate": measured,
         "predicted_rate": predicted,
         "se": math.sqrt(se_tally**2 + se_d**2),
-        "events": n_events,
+        "events": ens.collisions,
         "elapsed": elapsed,
-        "n_steps": n_steps,
+        "n_steps": ens.steps,
     }
 
 
@@ -570,30 +562,32 @@ def _run_stability(cfg, out_dir):
     meta = {"config_hash": cfg.hash, "seed": cfg["seed"]}
     delta = 0.01 / _weighted_l1_delta_scale(dim)
 
-    from .dsmc import advance, init_ensemble, step_size
+    from .dsmc import advance_to, init_ensemble
 
     law = RestitutionLaw(phys["e"])
     kernel = make_kernel(phys["kernel"], dim)
+    # two generators from one seed: common random numbers for the pair
     ens_a = init_ensemble(cfg)
     ens_b = init_ensemble(cfg)
     ens_b.v *= math.sqrt(1.0 + delta)  # correlated perturbation of T
 
-    dt = step_size(cfg, ens_a)
     sample_times = np.arange(0.0, num["t_final"] + 1e-9, out["cadence"])
     r_max = 12.0 * math.sqrt(1.0 + num["t_final"])  # generous fixed binning
     rows = []
     for t_out in sample_times:
         for ens in (ens_a, ens_b):
-            while ens.time < t_out - 1e-12:
-                advance(ens, min(dt, t_out - ens.time), law, kernel)
+            advance_to(ens, t_out, law, kernel)
         ha = histogram_from_speeds(np.linalg.norm(ens_a.v, axis=1), ens_a.weight,
                                    dim, n_bins=num["bins"], r_max=r_max)
         hb = histogram_from_speeds(np.linalg.norm(ens_b.v, axis=1), ens_b.weight,
                                    dim, n_bins=num["bins"], r_max=r_max)
         rows.append((t_out, stability_metric(ha, hb)))
 
+    work = {f"{tag}_{key}": getattr(ens, key)
+            for tag, ens in (("a", ens_a), ("b", ens_b))
+            for key in ("steps", "candidates", "collisions", "majorant_violations")}
     gio.write_table(os.path.join(out_dir, "stability.csv"), "stability",
-                    {**meta, "delta": delta}, ["t", "weighted_l1"], rows)
+                    {**meta, "delta": delta, **work}, ["t", "weighted_l1"], rows)
 
     # positivity run: two-bump initial datum in the rescaled frame
     pos = validate_config({

@@ -13,21 +13,24 @@ from granular.dsmc import (
     U_MAX_SAFETY,
     CollisionTally,
     advance,
+    advance_to,
     collide_step,
     default_dt,
     drift_rescale_step,
     init_ensemble,
     run,
-    step_size,
 )
 from granular.kernels import (
     RestitutionLaw,
     isotropic_kernel,
+    make_kernel,
     post_collisional,
     sample_sigma,
     tau_of,
 )
 from granular.observables import histogram_from_speeds, l1_distance
+from granular.operator import dissipation_from_radial, relative_speed_cubed_kernel
+from granular.reporting import dissipation_rate_check
 from granular.rescale import forward_map
 
 
@@ -133,11 +136,8 @@ class TestCollide:
     def test_cooling_rate_matches_dissipation(self):
         # ensemble-average decay against -D evaluated on the same
         # sample's histogram (removes initial-sample variance of E|u|^3)
-        from granular.reporting import dissipation_rate_check
-
         config = cfg(particles=30000, t_final=0.05, cadence=0.05, seed=2)
-        law, kern = RestitutionLaw(0.8), isotropic_kernel(3)
-        rep = dissipation_rate_check(config, law, kern, n_steps=50)
+        rep = dissipation_rate_check(config)
         dev = abs(rep["measured_rate"] - rep["predicted_rate"])
         assert dev <= 3.0 * rep["se"]
 
@@ -271,8 +271,8 @@ class TestRunDriver:
 
     def test_step_size(self):
         ens = init_ensemble(cfg())
-        assert step_size(cfg(), ens) == default_dt(ens) == 0.01 / (ens.mass * ens.u_max)
-        assert step_size(cfg(dt=2e-3), ens) == 2e-3
+        assert ens.dt == default_dt(ens) == 0.01 / (ens.mass * ens.u_max)
+        assert init_ensemble(cfg(dt=2e-3)).dt == 2e-3
 
     def test_snapshots(self):
         out, _ = run(cfg(t_final=0.2, snapshot_times=[0.1]))
@@ -420,6 +420,48 @@ def _oracle_record(ens, rec):
         rec[f"m{p}"].append(ens.weight * float(np.sum(speeds**p)))
 
 
+def _oracle_dissipation_rate_check(cfg, law, kernel, n_steps=50, bins=64):
+    """The dissipation companion as its own 50-step loop over collide_step."""
+    ens = init_ensemble(cfg)
+    dt = default_dt(ens) if cfg["numerics"]["dt"] is None else cfg["numerics"]["dt"]
+    speeds0 = np.linalg.norm(ens.v, axis=1)
+    h0 = histogram_from_speeds(speeds0, ens.weight, ens.dim, n_bins=bins,
+                               frame=ens.frame, time=0.0)
+    de_sum = 0.0
+    de_sq = 0.0
+    n_events = 0
+    for _ in range(n_steps):
+        tally = collide_step(ens, dt, law, kernel)
+        ens.time += dt
+        de_sum += tally.denergy
+        de_sq += tally.denergy_sq
+        n_events += tally.accepted
+    elapsed = n_steps * dt
+    speeds1 = np.linalg.norm(ens.v, axis=1)
+    h1 = histogram_from_speeds(speeds1, ens.weight, ens.dim, n_bins=bins,
+                               frame=ens.frame, time=ens.time)
+    d0 = dissipation_from_radial(h0.centers, h0.bin_masses, law, kernel, ens.dim)
+    d1 = dissipation_from_radial(h1.centers, h1.bin_masses, law, kernel, ens.dim)
+    predicted = -0.5 * (d0 + d1)
+    measured = de_sum / elapsed
+    se_tally = math.sqrt(max(de_sq, 0.0)) / elapsed
+    K = relative_speed_cubed_kernel(h0.centers[:, None], h0.centers[None, :], ens.dim)
+    masses = h0.bin_masses
+    row = K @ masses
+    tau_d = tau_of(kernel, law)
+    mean_row = float(masses @ row) / max(h0.mass, 1e-300)
+    var_row = float(masses @ (row - mean_row) ** 2) / max(h0.mass, 1e-300)
+    se_d = tau_d * 2.0 * math.sqrt(var_row / max(ens.n, 1))
+    return {
+        "measured_rate": measured,
+        "predicted_rate": predicted,
+        "se": math.sqrt(se_tally**2 + se_d**2),
+        "events": n_events,
+        "elapsed": elapsed,
+        "n_steps": n_steps,
+    }
+
+
 def _oracle_advance(ens, dt, law, kernel):
     if ens.frame == FRAME_RESCALED:
         drift_rescale_step(ens, 0.5 * dt)
@@ -498,3 +540,35 @@ class TestOracles:
         assert len(new.snapshots) == len(old.snapshots) == 2
         for (ta, va), (tb, vb) in zip(new.snapshots, old.snapshots):
             assert ta == tb and np.array_equal(va, vb)
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_dissipation_companion_matches_oracle(self, seed):
+        config = cfg(particles=5000, seed=seed)
+        law, kern = RestitutionLaw(0.8), make_kernel(config["physics"]["kernel"], 3)
+        assert dissipation_rate_check(config) == _oracle_dissipation_rate_check(config, law, kern)
+
+    @pytest.mark.parametrize("frame, dt", [(FRAME_ORIGINAL, None), (FRAME_RESCALED, None),
+                                           (FRAME_RESCALED, 2e-3)])
+    def test_advance_to_output_times_is_run(self, frame, dt):
+        # cadence 0.125 makes run()'s output times exact binary fractions
+        config = cfg(frame=frame, dt=dt, particles=2000, t_final=0.5, cadence=0.125, seed=23)
+        out, ens_run = run(config)
+        ens = init_ensemble(config)
+        law, kern = RestitutionLaw(0.8), make_kernel(config["physics"]["kernel"], 3)
+        for t in (0.125, 0.25, 0.375, 0.5):
+            advance_to(ens, t, law, kern)
+            _ = ens.v  # fold the scale in, as run()'s _record does
+        assert out.tallies["steps"] > REFRESH_INTERVAL  # the majorant was refreshed
+        assert out.tallies == {
+            "collisions": ens.collisions,
+            "candidates": ens.candidates,
+            "acceptance": ens.collisions / max(ens.candidates, 1),
+            "majorant_violations": ens.majorant_violations,
+            "collision_denergy": ens.collision_denergy,
+            "drift_denergy": ens.drift_denergy,
+            "dt_final": ens.dt,
+            "dt_halvings": ens.dt_halvings,
+            "u_max_final": ens.u_max,
+            "steps": ens.steps,
+        }
+        assert np.array_equal(ens.v, ens_run.v)

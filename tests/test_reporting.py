@@ -180,8 +180,12 @@ def test_stability_preset_structure(tmp_path):
         "output.cadence": 0.25, "output.snapshot_times": [1.0]})
     assert [c["check"] for c in report["checks"]] == [
         "stability_no_superexponential", "positivity_two_bump"]
-    _, columns, data = gio.read_table(os.path.join(tmp_path, "stability.csv"))
+    meta, columns, data = gio.read_table(os.path.join(tmp_path, "stability.csv"))
     assert columns == ["t", "weighted_l1"]
+    for tag in ("a", "b"):  # the pair is stepped with the majorant refreshed
+        assert int(meta[f"{tag}_steps"]) > 0 and int(meta[f"{tag}_majorant_violations"]) >= 0
+        # 0.204-0.257 at seeds 1-8 (0.080-0.130 stepped without the refresh)
+        assert int(meta[f"{tag}_collisions"]) >= 0.2 * int(meta[f"{tag}_candidates"])
     np.testing.assert_allclose(data[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-12)
     for k in range(1, 6):
         hist = gio.read_hist_csv(os.path.join(tmp_path, f"hist_pos_t{k}.csv"))
